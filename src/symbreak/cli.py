@@ -34,7 +34,7 @@ from .harness import (
     run_check,
 )
 from .invariants import INVARIANT_FUNCTIONS, total_distinguishing_number
-from .symmetry import automorphism_group
+from .symmetry import DEFAULT_VERTEX_CAP, automorphism_group, vertex_cap
 from .transforms import endline_graph, line_graph, middle_graph, subdivision_graph
 from .constructions import lift_total_to_subdivision
 from .invariants import is_distinguishing, is_proper
@@ -259,6 +259,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Checked before dispatch: inside a sweep a bad value would turn into
+        # per-record errors and read as a counterexample.
+        vertex_cap(None, DEFAULT_VERTEX_CAP)
         return args.func(args)
     except SymbreakError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -210,8 +210,16 @@ def to_graph6(G: Graph) -> str:
 def read_graph6_file(path: str) -> list[Graph]:
     """Read a graph6 file: one graph per line, ``>>`` header lines ignored."""
     graphs = []
-    with open(path, "r", encoding="ascii") as fh:
+    # surrogateescape keeps one character per byte, so a character index in
+    # a line is also its byte offset.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                offset = next(i for i, ch in enumerate(line) if not ch.isascii())
+                raise GraphFormatError(
+                    f"{path}:{lineno}: non-ASCII byte 0x{ord(line[offset]) & 0xFF:02x}",
+                    offset,
+                )
             stripped = line.rstrip("\r\n")
             if not stripped or stripped.startswith(">>"):
                 continue

@@ -19,7 +19,6 @@ size.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,18 +37,12 @@ from .symmetry import (
     edge_index_action,
     identity_permutation,
     preserves,
+    vertex_cap,
 )
 
 DEFAULT_CERTIFY_CAP = 30
 _PRUNE_GROUP_CAP = 6000
 _WITNESS_ONLY_NODE_BUDGET = 200_000
-
-
-def _certify_cap(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("SYMBREAK_MAX_VERTICES")
-    return int(env) if env else DEFAULT_CERTIFY_CAP
 
 
 @dataclass(frozen=True)
@@ -319,7 +312,7 @@ def _minimize(
     witness_only: bool,
     max_positions: Optional[int],
 ) -> tuple[int, tuple[int, ...], bool]:
-    cap = _certify_cap(max_positions)
+    cap = vertex_cap(max_positions, DEFAULT_CERTIFY_CAP)
     if npos > cap and not witness_only:
         raise ResourceCapError(
             f"{kind}: {npos} positions exceeds the exhaustive-certification cap {cap} "

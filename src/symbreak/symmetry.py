@@ -4,7 +4,11 @@ All groups are enumerated in full: the graphs this package targets are small,
 so stabilizers and distinguishing checks reduce to plain filters over the
 element list.  The search backtracks over an iterated degree/neighborhood
 refinement of the vertex set and validates adjacency incrementally, so leaves
-of the search tree are exactly the automorphisms.
+of the search tree are exactly the automorphisms.  It places the vertices of
+singleton cells first, then always the unplaced vertex with the most placed
+neighbours, so a wrong choice soon fails the adjacency check.  Elements are
+returned in a fixed order that does not depend on that search order (see
+AutGroup).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .colorings import EdgeColoring, TotalColoring, VertexColoring
-from .errors import ContractError, ResourceCapError
+from .errors import ContractError, MalformedInputError, ResourceCapError
 from .graph_core import Edge, Graph, from_edge_list, to_graph6
 
 Permutation = tuple[int, ...]
@@ -24,11 +28,26 @@ DEFAULT_VERTEX_CAP = 40
 DEFAULT_ORDER_CAP = 10_000_000
 
 
-def _vertex_cap(explicit: Optional[int]) -> int:
+def vertex_cap(explicit: Optional[int], default: int) -> int:
+    """The explicit cap if given, else SYMBREAK_MAX_VERTICES, else default.
+
+    Raises MalformedInputError if the variable is set to anything but a
+    positive integer.
+    """
     if explicit is not None:
         return explicit
     env = os.environ.get("SYMBREAK_MAX_VERTICES")
-    return int(env) if env else DEFAULT_VERTEX_CAP
+    if not env:
+        return default
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise MalformedInputError(
+            f"SYMBREAK_MAX_VERTICES must be a positive integer, got {env!r}"
+        )
+    return value
 
 
 def identity_permutation(n: int) -> Permutation:
@@ -66,7 +85,12 @@ def permute_graph(G: Graph, p: Permutation) -> Graph:
 
 @dataclass(frozen=True)
 class AutGroup:
-    """The full automorphism group of a graph, one permutation per element."""
+    """The full automorphism group of a graph, one permutation per element.
+
+    Element order: sort the vertices by (size of their refined colour cell,
+    cell colour, index); the elements come in lexicographic order of their
+    images read in that vertex order.  The identity is always first.
+    """
 
     n: int
     elements: tuple[Permutation, ...]
@@ -150,7 +174,7 @@ def _enumerate_automorphisms(
     G: Graph, max_vertices: Optional[int], max_order: int
 ) -> AutGroup:
     n = G.n
-    cap = _vertex_cap(max_vertices)
+    cap = vertex_cap(max_vertices, DEFAULT_VERTEX_CAP)
     if n > cap:
         raise ResourceCapError(
             f"automorphism search refused: order {n} exceeds cap {cap} "
@@ -160,8 +184,11 @@ def _enumerate_automorphisms(
     members: dict[int, list[int]] = {}
     for v in range(n):
         members.setdefault(colors[v], []).append(v)
-    order = sorted(range(n), key=lambda v: (len(members[colors[v]]), colors[v], v))
+    # cell_order fixes the element order; order is the order vertices are placed in.
+    cell_order = sorted(range(n), key=lambda v: (len(members[colors[v]]), colors[v], v))
     masks = _adjacency_masks(G)
+    forced = sum(len(cell) == 1 for cell in members.values())
+    order = _placement_order(cell_order, forced, masks)
     # Per depth: the candidate cell of order[d] and its already-placed neighbors.
     cands = [members[colors[v]] for v in order]
     prior_nbrs = [
@@ -192,7 +219,38 @@ def _enumerate_automorphisms(
         image[v] = -1
 
     rec(0, 0)
+    if order != cell_order:
+        # The search emits elements in lexicographic order of their images
+        # along `order`; restore the documented order along `cell_order`.
+        # Byte keys keep the sort's memory small for the factorial groups.
+        if n <= 256:
+            results.sort(key=lambda p: bytes([p[v] for v in cell_order]))
+        else:
+            results.sort(key=lambda p: [p[v] for v in cell_order])
     return AutGroup(n=n, elements=tuple(results))
+
+
+def _placement_order(cell_order: list[int], forced: int, masks: list[int]) -> list[int]:
+    """The first `forced` vertices of cell_order (the singleton cells, whose
+    images are forced), then repeatedly the unplaced vertex with the most
+    placed neighbours, ties broken by position in cell_order.  Placing
+    vertices next to placed ones lets the adjacency check cut a dead branch
+    at once instead of several levels deeper."""
+    order = cell_order[:forced]
+    rest = cell_order[forced:]
+    placed = 0
+    for v in order:
+        placed |= 1 << v
+    while rest:
+        best, best_count = 0, -1
+        for i, v in enumerate(rest):
+            count = (masks[v] & placed).bit_count()
+            if count > best_count:
+                best, best_count = i, count
+        v = rest.pop(best)
+        order.append(v)
+        placed |= 1 << v
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -200,3 +200,29 @@ def test_verify_tsv_output(tmp_path, capsys):
     lines = out_file.read_text().splitlines()
     assert lines[0].startswith("graph6\t")
     assert len(lines) == 3  # header + the two connected order-3 graphs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("aut", "--graph6", "DqK"),
+        ("invariant", "--which", "chi", "--graph6", "DqK"),
+        ("verify", "--theorem", "thm-3.3", "--builtin", "4"),
+    ],
+)
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_max_vertices_env_is_input_error(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("SYMBREAK_MAX_VERTICES", value)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "SYMBREAK_MAX_VERTICES" in err
+    assert "Traceback" not in err
+
+
+def test_verify_non_ascii_corpus_byte_is_input_error(tmp_path, capsys):
+    corpus_file = tmp_path / "bad.g6"
+    corpus_file.write_bytes(b"F?B~w\n\xff\n")
+    code, _, err = run_cli(capsys, "verify", "--theorem", "thm-3.3", "--corpus", str(corpus_file))
+    assert code == 2
+    assert f"error: {corpus_file}:2: non-ASCII byte 0xff (byte offset 0)" in err
+    assert "Traceback" not in err

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from symbreak.colorings import EdgeColoring, TotalColoring, VertexColoring
-from symbreak.errors import ContractError, ResourceCapError
+from symbreak.errors import ContractError, MalformedInputError, ResourceCapError
 from symbreak.graph_core import (
     complete_bipartite_graph,
     complete_graph,
@@ -9,6 +11,7 @@ from symbreak.graph_core import (
     from_edge_list,
     named_graph,
     NamedGraphSpec,
+    parse_graph6,
     path_graph,
 )
 from symbreak.symmetry import (
@@ -65,11 +68,55 @@ def test_vertex_cap():
     with pytest.raises(ResourceCapError):
         automorphism_group(big)
     assert automorphism_group(big, max_vertices=50).order == 2
+    # past 256 vertices the element re-sort cannot use byte keys
+    huge = path_graph(300)
+    assert automorphism_group(huge, max_vertices=300).elements == (
+        tuple(range(300)),
+        tuple(range(299, -1, -1)),
+    )
 
 
 def test_vertex_cap_env_override(monkeypatch):
     monkeypatch.setenv("SYMBREAK_MAX_VERTICES", "50")
     assert automorphism_group(path_graph(45)).order == 2
+
+
+def test_bad_vertex_cap_env_is_input_error(monkeypatch):
+    monkeypatch.setenv("SYMBREAK_MAX_VERTICES", "abc")
+    with pytest.raises(MalformedInputError):
+        automorphism_group(path_graph(5), max_order=100)
+
+
+def test_element_order_is_pinned(corpus):
+    # SHA-256 recorded before the search started placing vertices next to
+    # placed neighbours: the element order (`aut --list`, and the first
+    # elements taken by the invariant search's orbit prune) must not move.
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for G in corpus[n]:
+            graphs = [G, endline_graph(G)]
+            if G.num_edges:
+                graphs += [subdivision_graph(G), middle_graph(G)]
+            for H in graphs:
+                digest.update(repr(automorphism_group(H).elements).encode())
+    assert digest.hexdigest() == (
+        "63e810474f369b86d14d528f9305407406dce995d2638ecee40b07da19fc66e2"
+    )
+
+
+@pytest.mark.parametrize(
+    "G, order",
+    [(parse_graph6("FqG^w"), 12), (parse_graph6("FwC^w"), 72), (cycle_graph(8), 32)],
+)
+def test_subdivision_groups_with_large_independent_cells(G, order):
+    # The original vertices of S(G) form a large cell of pairwise non-adjacent
+    # vertices; the search must place them next to placed neighbours, not as
+    # one unconstrained block (that took about 1 s per graph).
+    S = subdivision_graph(G)
+    aut = automorphism_group(S)
+    assert aut.order == order
+    assert len(set(aut.elements)) == order
+    assert all(is_automorphism(S, p) for p in aut)
 
 
 def test_order_cap():

@@ -15,6 +15,7 @@ from .colorings import EdgeColoring, TotalColoring, VertexColoring
 from .constructions import (
     endline_extension_coloring,
     exceptional_endline_coloring,
+    lift_total_to_subdivision,
     subdivision_proper_distinguishing,
 )
 from .errors import SymbreakError
@@ -33,11 +34,14 @@ from .harness import (
     report_exit_code,
     run_check,
 )
-from .invariants import INVARIANT_FUNCTIONS, total_distinguishing_number
+from .invariants import (
+    INVARIANT_FUNCTIONS,
+    is_distinguishing,
+    is_proper,
+    total_distinguishing_number,
+)
 from .symmetry import DEFAULT_VERTEX_CAP, automorphism_group, vertex_cap
 from .transforms import endline_graph, line_graph, middle_graph, subdivision_graph
-from .constructions import lift_total_to_subdivision
-from .invariants import is_distinguishing, is_proper
 
 
 def _graph_argument(text: Optional[str]) -> Graph:
@@ -238,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--witness-only",
         action="store_true",
-        help="upper-bound mode: skip exhaustive certification (bypasses the size cap)",
+        help="upper-bound mode: skip exhaustive certification (bypasses the 30-position "
+        "certification cap; the automorphism caps still apply)",
     )
     p.set_defaults(func=_cmd_invariant)
 

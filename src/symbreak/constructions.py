@@ -29,9 +29,15 @@ from .invariants import (
 from .symmetry import automorphism_group, is_isomorphic
 from .transforms import endline_graph, subdivision_graph
 
-# The four exceptional graphs and the fixed Hamiltonian cycle used on each.
-# Vertex-transitivity makes the choice of cycle immaterial up to isomorphism;
-# fixing one keeps outputs deterministic.
+# The four exceptional graphs in catalog vertex order, and the fixed
+# Hamiltonian cycle used on each.  Vertex-transitivity makes the choice of
+# cycle immaterial up to isomorphism; fixing one keeps outputs deterministic.
+EXCEPTIONAL_GRAPHS: dict[str, Graph] = {
+    "C4": cycle_graph(4),
+    "C6": cycle_graph(6),
+    "K4": complete_graph(4),
+    "K3,3": complete_bipartite_graph(3, 3),
+}
 _EXCEPTIONAL_CYCLES: dict[str, tuple[int, ...]] = {
     "C4": (0, 1, 2, 3),
     "C6": (0, 1, 2, 3, 4, 5),
@@ -40,18 +46,9 @@ _EXCEPTIONAL_CYCLES: dict[str, tuple[int, ...]] = {
 }
 
 
-def _exceptional_catalog() -> dict[str, Graph]:
-    return {
-        "C4": cycle_graph(4),
-        "C6": cycle_graph(6),
-        "K4": complete_graph(4),
-        "K3,3": complete_bipartite_graph(3, 3),
-    }
-
-
 def exception_name(G: Graph) -> str | None:
     """Which of the four exceptional graphs G is isomorphic to, if any."""
-    for name, H in _exceptional_catalog().items():
+    for name, H in EXCEPTIONAL_GRAPHS.items():
         if G.n == H.n and G.num_edges == H.num_edges and is_isomorphic(G, H):
             return name
     return None
@@ -81,12 +78,7 @@ def exceptional_endline_coloring(G: Graph) -> ConstructionResult:
     cycle start gets color 1, every other pendant edge gets 2, and any
     leftover edges (the K4 and K3,3 chords) get 5.
     """
-    catalog = _exceptional_catalog()
-    name = None
-    for cand, H in catalog.items():
-        if G == H:
-            name = cand
-            break
+    name = next((cand for cand, H in EXCEPTIONAL_GRAPHS.items() if G == H), None)
     if name is None:
         raise ContractError(
             "exceptional_endline_coloring expects C4, C6, K4 or K3,3 "

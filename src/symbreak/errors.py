@@ -10,10 +10,11 @@ class MalformedInputError(SymbreakError, ValueError):
 
 
 class GraphFormatError(MalformedInputError):
-    """A graph6 line could not be decoded.  Carries the offending byte offset."""
+    """A graph6 line could not be decoded.  Carries the bare message and the byte offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import GraphFormatError, MalformedInputError
@@ -226,7 +227,7 @@ def read_graph6_file(path: str) -> list[Graph]:
             try:
                 graphs.append(parse_graph6(stripped))
             except GraphFormatError as exc:
-                raise GraphFormatError(f"{path}:{lineno}: {exc}", exc.offset) from exc
+                raise GraphFormatError(f"{path}:{lineno}: {exc.message}", exc.offset) from exc
     return graphs
 
 
@@ -333,6 +334,17 @@ def neighborhood(G: Graph, v: int) -> frozenset:
     if not 0 <= v < G.n:
         raise MalformedInputError(f"vertex {v} out of range for order {G.n}")
     return G.adj_sets[v]
+
+
+def incident_edge_pairs(G: Graph) -> list[Edge]:
+    """Sorted pairs ``(i, j)``, ``i < j``, of indices into ``G.edges`` whose
+    edges share an endpoint: the edges of the line graph."""
+    at: list[list[int]] = [[] for _ in range(G.n)]
+    for k, (u, v) in enumerate(G.edges):
+        at[u].append(k)
+        at[v].append(k)
+    # Two edges of a simple graph share at most one endpoint: no duplicates.
+    return sorted(pair for ks in at for pair in combinations(ks, 2))
 
 
 def is_connected(G: Graph) -> bool:

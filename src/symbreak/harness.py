@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .constructions import (
+    EXCEPTIONAL_GRAPHS,
     exception_name,
     exceptional_endline_coloring,
     endline_extension_coloring,
@@ -27,7 +28,6 @@ from .errors import MalformedInputError
 from .graph_core import (
     Graph,
     bipartition,
-    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     from_edge_list,
@@ -213,13 +213,7 @@ def _check_thm_2_8(G: Graph) -> dict:
     expected = delta + 2 if exc else delta + 1
     iv = distinguishing_chromatic_number(middle_graph(G))
     if exc:
-        catalog = {
-            "C4": cycle_graph(4),
-            "C6": cycle_graph(6),
-            "K4": complete_graph(4),
-            "K3,3": complete_bipartite_graph(3, 3),
-        }
-        cons = exceptional_endline_coloring(catalog[exc])
+        cons = exceptional_endline_coloring(EXCEPTIONAL_GRAPHS[exc])
     else:
         cons = endline_extension_coloring(G)
     values = {

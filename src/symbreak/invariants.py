@@ -7,6 +7,15 @@ Dp    -- distinguishing index (edge colorings)
 chiDp -- distinguishing chromatic index (proper + distinguishing edge colorings)
 Dpp   -- total distinguishing number (vertex+edge colorings, properness not required)
 
+All six share one shape: the least palette for a coloring of some positions
+(vertices, edges, or both) that is optionally proper and that only the
+identity preserves.  One table, ``_KINDS``, gives each kind its position
+count, whether an edge is required, its conflict pairs (the properness
+constraints), its certified lower bound, its position group (none for chi)
+and its witness builder; one driver, ``_invariant``, checks the input, looks
+up the memo of certified values and runs the search.  The six public
+functions are one-line wrappers around it.
+
 One backtracking engine serves all six.  Color vectors are enumerated in
 position order with a first-fit palette restriction, properness enforced as
 prefix constraints, and a sound orbit prune: a prefix is cut as soon as some
@@ -20,7 +29,7 @@ size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .colorings import EdgeColoring, TotalColoring, VertexColoring
 from .errors import (
@@ -29,7 +38,7 @@ from .errors import (
     MalformedInputError,
     ResourceCapError,
 )
-from .graph_core import Graph, is_connected, to_graph6
+from .graph_core import Graph, incident_edge_pairs, is_connected, to_graph6
 from .symmetry import (
     AutGroup,
     Permutation,
@@ -109,7 +118,12 @@ def _check_domain(G: Graph, c) -> None:
 # Exact max clique (lower bound for the proper searches)
 # ---------------------------------------------------------------------------
 
-def _max_clique_size(n: int, masks: Sequence[int]) -> int:
+def _max_clique_size(n: int, pairs: Sequence[tuple[int, int]]) -> int:
+    """Clique number of the graph on ``0..n-1`` with the given edge pairs."""
+    masks = [0] * n
+    for a, b in pairs:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
     best = 0
 
     def expand(cand: int, size: int) -> None:
@@ -168,10 +182,10 @@ def _search_palette(
     nonid: Sequence[Permutation],
     prune: Sequence[Permutation],
     r: int,
-    need_dist: bool,
     node_budget: Optional[int] = None,
 ) -> Optional[tuple[int, ...]]:
-    """First-fit lexicographic DFS for a valid coloring with <= r colors.
+    """First-fit lexicographic DFS for a valid coloring with <= r colors:
+    no conflict pair monochromatic, and no element of ``nonid`` preserving it.
 
     Returns the lexicographically least valid color vector, or None when the
     (soundly pruned) tree is exhausted without finding one.
@@ -282,7 +296,7 @@ def _search_palette(
             pruned, journal, leftover = wake(k)
             if not pruned:
                 if last:
-                    if not need_dist or no_preserving_nonid():
+                    if no_preserving_nonid():
                         found = tuple(colors)
                         undo(k, journal, leftover)
                         colors[k] = 0
@@ -306,9 +320,7 @@ def _minimize(
     npos: int,
     conflict_pairs: Sequence[tuple[int, int]],
     nonid: Sequence[Permutation],
-    need_dist: bool,
     lower: int,
-    upper: int,
     witness_only: bool,
     max_positions: Optional[int],
 ) -> tuple[int, tuple[int, ...], bool]:
@@ -319,27 +331,32 @@ def _minimize(
             "(set SYMBREAK_MAX_VERTICES or use witness_only)"
         )
     prior: list[list[int]] = [[] for _ in range(npos)]
-    for a, b in conflict_pairs:
-        if a > b:
-            a, b = b, a
+    for a, b in conflict_pairs:  # a < b, as in G.edges and incident_edge_pairs
         prior[b].append(a)
     prune = _select_prune_perms(nonid)
     budget = _WITNESS_ONLY_NODE_BUDGET if witness_only else None
     certified = not witness_only
-    for r in range(max(1, lower), upper + 1):
+    for r in range(max(1, lower), npos + 1):
         try:
-            vec = _search_palette(npos, prior, nonid, prune, r, need_dist, budget)
+            vec = _search_palette(npos, prior, nonid, prune, r, budget)
         except _BudgetExceeded:
             certified = False
             continue
         if vec is not None:
             return r, vec, certified
-    raise AssertionError(f"{kind}: no valid coloring up to palette {upper}; this cannot happen")
+    # Only reached when the node budget ran out at every palette (an
+    # exhaustive search always succeeds at npos).  All-distinct colors are
+    # proper, and distinguishing because every position group acts faithfully.
+    return npos, tuple(range(1, npos + 1)), False
 
 
 # ---------------------------------------------------------------------------
 # Group actions as position permutations
 # ---------------------------------------------------------------------------
+
+def _vertex_position_group(G: Graph, aut: AutGroup) -> Sequence[Permutation]:
+    return aut.nonidentity()
+
 
 def _edge_position_group(G: Graph, aut: AutGroup) -> list[Permutation]:
     ident = identity_permutation(G.num_edges)
@@ -357,29 +374,72 @@ def _edge_position_group(G: Graph, aut: AutGroup) -> list[Permutation]:
 
 def _total_position_group(G: Graph, aut: AutGroup) -> list[Permutation]:
     n = G.n
-    out = []
-    for p in aut.nonidentity():
-        act = edge_index_action(p, G)
-        out.append(tuple(p) + tuple(n + e for e in act))
-    return out
-
-
-def _edge_conflicts(G: Graph) -> list[tuple[int, int]]:
-    """Pairs of edge indices sharing an endpoint (the properness constraints)."""
-    rank = {e: k for k, e in enumerate(G.edges)}
-    pairs = set()
-    for v in range(G.n):
-        incident = [rank[(v, w) if v < w else (w, v)] for w in G.adj[v]]
-        for a in range(len(incident)):
-            for b in range(a + 1, len(incident)):
-                x, y = incident[a], incident[b]
-                pairs.add((x, y) if x < y else (y, x))
-    return sorted(pairs)
+    return [tuple(p) + tuple(n + e for e in edge_index_action(p, G)) for p in aut.nonidentity()]
 
 
 # ---------------------------------------------------------------------------
-# Public invariant operations
+# The six invariants as one table
 # ---------------------------------------------------------------------------
+
+# Lower bounds: exact, except in witness-only mode, whose values are uncertified.
+
+def _no_bound(*_) -> int:
+    return 1
+
+
+def _clique_bound(G, npos, pairs, witness_only, max_positions) -> int:
+    return _max_clique_size(npos, pairs)
+
+
+def _chromatic_bound(G, npos, pairs, witness_only, max_positions) -> int:
+    # By module-level name, so that a rebinding of chromatic_number is seen.
+    return chromatic_number(G, witness_only=witness_only, max_positions=max_positions).value
+
+
+def _total_witness(G: Graph, vec: tuple[int, ...], r: int) -> TotalColoring:
+    return TotalColoring(VertexColoring(vec[: G.n], r), EdgeColoring(G.edges, vec[G.n :], r))
+
+
+class _Kind(NamedTuple):
+    """One invariant: the least palette r admitting a coloring of the
+    positions that gives no conflict pair one color (properness) and, when a
+    position group is given, is preserved by none of its non-identity elements."""
+
+    name: str  # the public function, for error messages
+    positions: Callable[[Graph], int]
+    needs_edge: bool
+    conflicts: Callable[[Graph], Sequence[tuple[int, int]]]
+    lower: Callable[..., int]  # (G, npos, pairs, witness_only, max_positions)
+    group: Optional[Callable[[Graph, AutGroup], Sequence[Permutation]]]
+    witness: Callable[[Graph, tuple[int, ...], int], object]  # (G, vec, palette)
+
+
+_KINDS: dict[str, _Kind] = {
+    "chi": _Kind(
+        "chromatic_number", lambda G: G.n, False, lambda G: G.edges, _clique_bound,
+        None, lambda G, vec, r: VertexColoring(vec, r),
+    ),
+    "D": _Kind(
+        "distinguishing_number", lambda G: G.n, False, lambda G: (), _no_bound,
+        _vertex_position_group, lambda G, vec, r: VertexColoring(vec, r),
+    ),
+    "chiD": _Kind(
+        "distinguishing_chromatic_number", lambda G: G.n, False, lambda G: G.edges,
+        _chromatic_bound, _vertex_position_group, lambda G, vec, r: VertexColoring(vec, r),
+    ),
+    "Dp": _Kind(
+        "distinguishing_index", lambda G: G.num_edges, True, lambda G: (), _no_bound,
+        _edge_position_group, lambda G, vec, r: EdgeColoring(G.edges, vec, r),
+    ),
+    "chiDp": _Kind(
+        "distinguishing_chromatic_index", lambda G: G.num_edges, True, incident_edge_pairs,
+        _clique_bound, _edge_position_group, lambda G, vec, r: EdgeColoring(G.edges, vec, r),
+    ),
+    "Dpp": _Kind(
+        "total_distinguishing_number", lambda G: G.n + G.num_edges, True, lambda G: (),
+        _no_bound, _total_position_group, _total_witness,
+    ),
+}
 
 _MEMO: dict[tuple[str, str], InvariantValue] = {}
 
@@ -388,22 +448,35 @@ def clear_invariant_cache() -> None:
     _MEMO.clear()
 
 
-def _require_connected(G: Graph, kind: str) -> None:
+def _invariant(
+    kind: str, G: Graph, witness_only: bool, max_positions: Optional[int]
+) -> InvariantValue:
+    spec = _KINDS[kind]
     if not is_connected(G):
-        raise ContractError(f"{kind} requires a connected graph")
+        raise ContractError(f"{spec.name} requires a connected graph")
+    if spec.needs_edge and G.num_edges == 0:
+        raise MalformedInputError(f"{spec.name} requires at least one edge")
+    # Certified values only; past order 62 there is no graph6 key (caps refuse those).
+    key = (to_graph6(G), kind) if not witness_only and G.n <= 62 else None
+    if key is not None and (got := _MEMO.get(key)):
+        return got
+    npos = spec.positions(G)
+    pairs = spec.conflicts(G)
+    lower = spec.lower(G, npos, pairs, witness_only, max_positions)
+    nonid = () if spec.group is None else spec.group(G, automorphism_group(G))
+    value, vec, certified = _minimize(
+        kind=kind, npos=npos, conflict_pairs=pairs, nonid=nonid, lower=lower,
+        witness_only=witness_only, max_positions=max_positions,
+    )
+    out = InvariantValue(kind, value, spec.witness(G, vec, value), certified)
+    if key is not None:
+        _MEMO[key] = out
+    return out
 
 
-def _memo_get(G: Graph, kind: str) -> Optional[InvariantValue]:
-    if G.n > 62:  # beyond the graph6 key space; caps reject these later anyway
-        return None
-    return _MEMO.get((to_graph6(G), kind))
-
-
-def _memo_put(G: Graph, kind: str, val: InvariantValue) -> InvariantValue:
-    if G.n <= 62:
-        _MEMO[(to_graph6(G), kind)] = val
-    return val
-
+# ---------------------------------------------------------------------------
+# Public invariant operations
+# ---------------------------------------------------------------------------
 
 def chromatic_number(
     G: Graph, *, witness_only: bool = False, max_positions: Optional[int] = None
@@ -412,132 +485,35 @@ def chromatic_number(
 
     The exact clique number provides a certified starting lower bound, so no
     search below it is needed."""
-    _require_connected(G, "chromatic_number")
-    if not witness_only and (got := _memo_get(G, "chi")):
-        return got
-    masks = [0] * G.n
-    for u, v in G.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    omega = _max_clique_size(G.n, masks)
-    value, vec, cert = _minimize(
-        kind="chi",
-        npos=G.n,
-        conflict_pairs=G.edges,
-        nonid=(),
-        need_dist=False,
-        lower=omega,
-        upper=G.n,
-        witness_only=witness_only,
-        max_positions=max_positions,
-    )
-    out = InvariantValue("chi", value, VertexColoring(vec, value), cert)
-    return out if witness_only else _memo_put(G, "chi", out)
+    return _invariant("chi", G, witness_only, max_positions)
 
 
 def distinguishing_number(
     G: Graph, *, witness_only: bool = False, max_positions: Optional[int] = None
 ) -> InvariantValue:
     """Minimal palette admitting a vertex coloring with trivial stabilizer."""
-    _require_connected(G, "distinguishing_number")
-    if not witness_only and (got := _memo_get(G, "D")):
-        return got
-    aut = automorphism_group(G)
-    value, vec, cert = _minimize(
-        kind="D",
-        npos=G.n,
-        conflict_pairs=(),
-        nonid=aut.nonidentity(),
-        need_dist=True,
-        lower=1,
-        upper=G.n,
-        witness_only=witness_only,
-        max_positions=max_positions,
-    )
-    out = InvariantValue("D", value, VertexColoring(vec, value), cert)
-    return out if witness_only else _memo_put(G, "D", out)
+    return _invariant("D", G, witness_only, max_positions)
 
 
 def distinguishing_chromatic_number(
     G: Graph, *, witness_only: bool = False, max_positions: Optional[int] = None
 ) -> InvariantValue:
     """Minimal palette admitting a proper distinguishing vertex coloring."""
-    _require_connected(G, "distinguishing_chromatic_number")
-    if not witness_only and (got := _memo_get(G, "chiD")):
-        return got
-    chi = chromatic_number(G, witness_only=witness_only, max_positions=max_positions)
-    aut = automorphism_group(G)
-    value, vec, cert = _minimize(
-        kind="chiD",
-        npos=G.n,
-        conflict_pairs=G.edges,
-        nonid=aut.nonidentity(),
-        need_dist=True,
-        lower=chi.value,
-        upper=G.n,
-        witness_only=witness_only,
-        max_positions=max_positions,
-    )
-    out = InvariantValue("chiD", value, VertexColoring(vec, value), cert and chi.certified)
-    return out if witness_only else _memo_put(G, "chiD", out)
+    return _invariant("chiD", G, witness_only, max_positions)
 
 
 def distinguishing_index(
     G: Graph, *, witness_only: bool = False, max_positions: Optional[int] = None
 ) -> InvariantValue:
     """Minimal palette admitting a distinguishing edge coloring."""
-    _require_connected(G, "distinguishing_index")
-    if G.num_edges == 0:
-        raise MalformedInputError("distinguishing_index requires at least one edge")
-    if not witness_only and (got := _memo_get(G, "Dp")):
-        return got
-    aut = automorphism_group(G)
-    group = _edge_position_group(G, aut)
-    value, vec, cert = _minimize(
-        kind="Dp",
-        npos=G.num_edges,
-        conflict_pairs=(),
-        nonid=group,
-        need_dist=True,
-        lower=1,
-        upper=G.num_edges,
-        witness_only=witness_only,
-        max_positions=max_positions,
-    )
-    out = InvariantValue("Dp", value, EdgeColoring(G.edges, vec, value), cert)
-    return out if witness_only else _memo_put(G, "Dp", out)
+    return _invariant("Dp", G, witness_only, max_positions)
 
 
 def distinguishing_chromatic_index(
     G: Graph, *, witness_only: bool = False, max_positions: Optional[int] = None
 ) -> InvariantValue:
     """Minimal palette admitting a proper distinguishing edge coloring."""
-    _require_connected(G, "distinguishing_chromatic_index")
-    if G.num_edges == 0:
-        raise MalformedInputError("distinguishing_chromatic_index requires at least one edge")
-    if not witness_only and (got := _memo_get(G, "chiDp")):
-        return got
-    aut = automorphism_group(G)
-    group = _edge_position_group(G, aut)
-    conflicts = _edge_conflicts(G)
-    masks = [0] * G.num_edges
-    for a, b in conflicts:
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-    omega = _max_clique_size(G.num_edges, masks)
-    value, vec, cert = _minimize(
-        kind="chiDp",
-        npos=G.num_edges,
-        conflict_pairs=conflicts,
-        nonid=group,
-        need_dist=True,
-        lower=omega,
-        upper=G.num_edges,
-        witness_only=witness_only,
-        max_positions=max_positions,
-    )
-    out = InvariantValue("chiDp", value, EdgeColoring(G.edges, vec, value), cert)
-    return out if witness_only else _memo_put(G, "chiDp", out)
+    return _invariant("chiDp", G, witness_only, max_positions)
 
 
 def total_distinguishing_number(
@@ -545,30 +521,7 @@ def total_distinguishing_number(
 ) -> InvariantValue:
     """Minimal palette admitting a total (vertex+edge) coloring preserved only
     by the identity; properness is not required."""
-    _require_connected(G, "total_distinguishing_number")
-    if G.num_edges == 0:
-        raise MalformedInputError("total_distinguishing_number requires at least one edge")
-    if not witness_only and (got := _memo_get(G, "Dpp")):
-        return got
-    aut = automorphism_group(G)
-    group = _total_position_group(G, aut)
-    n, m = G.n, G.num_edges
-    value, vec, cert = _minimize(
-        kind="Dpp",
-        npos=n + m,
-        conflict_pairs=(),
-        nonid=group,
-        need_dist=True,
-        lower=1,
-        upper=n + m,
-        witness_only=witness_only,
-        max_positions=max_positions,
-    )
-    witness = TotalColoring(
-        VertexColoring(vec[:n], value), EdgeColoring(G.edges, vec[n:], value)
-    )
-    out = InvariantValue("Dpp", value, witness, cert)
-    return out if witness_only else _memo_put(G, "Dpp", out)
+    return _invariant("Dpp", G, witness_only, max_positions)
 
 
 INVARIANT_FUNCTIONS = {

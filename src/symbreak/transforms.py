@@ -9,7 +9,7 @@ output vertex back to the input graph.
 from __future__ import annotations
 
 from .errors import ContractError, MalformedInputError
-from .graph_core import Edge, Graph, VertexLabel, from_edge_list
+from .graph_core import Edge, Graph, VertexLabel, from_edge_list, incident_edge_pairs
 
 
 def _require_edges(G: Graph, op: str) -> None:
@@ -20,16 +20,8 @@ def _require_edges(G: Graph, op: str) -> None:
 def line_graph(G: Graph) -> Graph:
     """Graph on E(G); two edge vertices adjacent iff the edges share an endpoint."""
     _require_edges(G, "line graph")
-    rank = {e: k for k, e in enumerate(G.edges)}
-    pairs = set()
-    for v in range(G.n):
-        incident = [rank[(v, w) if v < w else (w, v)] for w in G.adj[v]]
-        for a in range(len(incident)):
-            for b in range(a + 1, len(incident)):
-                x, y = incident[a], incident[b]
-                pairs.add((x, y) if x < y else (y, x))
     labels = tuple(VertexLabel.edge_vertex(u, v) for u, v in G.edges)
-    return from_edge_list(G.num_edges, sorted(pairs), labels)
+    return from_edge_list(G.num_edges, incident_edge_pairs(G), labels)
 
 
 def endline_graph(G: Graph) -> Graph:
@@ -42,18 +34,21 @@ def endline_graph(G: Graph) -> Graph:
     return from_edge_list(2 * n, pairs, labels)
 
 
-def subdivision_graph(G: Graph) -> Graph:
-    """Each edge replaced by a path of length two through a new edge vertex."""
-    _require_edges(G, "subdivision graph")
+def _incidence(G: Graph) -> tuple[list[Edge], tuple[VertexLabel, ...]]:
+    """Incidence pairs on V(G) u E(G), edge k being vertex n + k, and the labels."""
     n = G.n
-    pairs = []
-    for k, (u, v) in enumerate(G.edges):
-        pairs.append((u, n + k))
-        pairs.append((v, n + k))
+    pairs = [(u, n + k) for k, e in enumerate(G.edges) for u in e]
     labels = tuple(VertexLabel.original(i) for i in range(n)) + tuple(
         VertexLabel.edge_vertex(u, v) for u, v in G.edges
     )
-    return from_edge_list(n + G.num_edges, pairs, labels)
+    return pairs, labels
+
+
+def subdivision_graph(G: Graph) -> Graph:
+    """Each edge replaced by a path of length two through a new edge vertex."""
+    _require_edges(G, "subdivision graph")
+    pairs, labels = _incidence(G)
+    return from_edge_list(G.n + G.num_edges, pairs, labels)
 
 
 def middle_graph(G: Graph) -> Graph:
@@ -61,21 +56,9 @@ def middle_graph(G: Graph) -> Graph:
     vertex-edge adjacency by incidence, and no original-original edges."""
     _require_edges(G, "middle graph")
     n = G.n
-    rank = {e: k for k, e in enumerate(G.edges)}
-    pairs = set()
-    for k, (u, v) in enumerate(G.edges):
-        pairs.add((u, n + k))
-        pairs.add((v, n + k))
-    for v in range(G.n):
-        incident = [rank[(v, w) if v < w else (w, v)] for w in G.adj[v]]
-        for a in range(len(incident)):
-            for b in range(a + 1, len(incident)):
-                x, y = incident[a], incident[b]
-                pairs.add((n + x, n + y) if x < y else (n + y, n + x))
-    labels = tuple(VertexLabel.original(i) for i in range(n)) + tuple(
-        VertexLabel.edge_vertex(u, v) for u, v in G.edges
-    )
-    return from_edge_list(n + G.num_edges, sorted(pairs), labels)
+    pairs, labels = _incidence(G)
+    pairs += [(n + a, n + b) for a, b in incident_edge_pairs(G)]
+    return from_edge_list(n + G.num_edges, pairs, labels)
 
 
 def endline_edges(Gplus: Graph) -> tuple[Edge, ...]:

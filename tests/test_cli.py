@@ -226,3 +226,24 @@ def test_verify_non_ascii_corpus_byte_is_input_error(tmp_path, capsys):
     assert code == 2
     assert f"error: {corpus_file}:2: non-ASCII byte 0xff (byte offset 0)" in err
     assert "Traceback" not in err
+
+
+def test_verify_truncated_corpus_line_reports_offset_once(tmp_path, capsys):
+    corpus_file = tmp_path / "short.g6"
+    corpus_file.write_text("F?B~w\nF?B~w\nF?B~\n")
+    code, _, err = run_cli(capsys, "verify", "--theorem", "thm-3.3", "--corpus", str(corpus_file))
+    assert code == 2
+    expected = f"{corpus_file}:3: expected 5 characters for order 7, got 4 (byte offset 4)"
+    assert f"error: {expected}" in err
+    assert err.count("(byte offset") == 1
+    assert "Traceback" not in err
+
+
+def test_invariant_witness_only_out_of_budget(monkeypatch, capsys):
+    # With the node budget spent at every palette, witness-only mode still
+    # answers (the all-distinct coloring, uncertified) instead of crashing.
+    monkeypatch.setattr("symbreak.invariants._WITNESS_ONLY_NODE_BUDGET", 1)
+    s = to_graph6(cycle_graph(6))
+    code, out, _ = run_cli(capsys, "invariant", "--which", "Dp", "--witness-only", "--graph6", s)
+    assert code == 0
+    assert json.loads(out) == {"kind": "Dp", "value": 6, "certified": False}

@@ -1,9 +1,16 @@
+import hashlib
 import itertools
 
 import pytest
 
 from symbreak.colorings import EdgeColoring, TotalColoring, VertexColoring
-from symbreak.errors import ContractError, DegenerateCaseError, MalformedInputError, ResourceCapError
+from symbreak.errors import (
+    ContractError,
+    DegenerateCaseError,
+    MalformedInputError,
+    ResourceCapError,
+    SymbreakError,
+)
 from symbreak.graph_core import (
     complete_bipartite_graph,
     complete_graph,
@@ -24,7 +31,7 @@ from symbreak.invariants import (
     total_distinguishing_number,
 )
 from symbreak.symmetry import automorphism_group, permute_graph
-from symbreak.transforms import middle_graph, subdivision_graph
+from symbreak.transforms import endline_graph, middle_graph, subdivision_graph
 
 from oracles import brute_automorphisms, naive_invariant
 
@@ -128,6 +135,16 @@ def test_certification_cap_and_witness_only():
     assert distinguishing_number(big, max_positions=40).certified
 
 
+def test_witness_only_falls_back_when_budget_runs_out(monkeypatch):
+    # A budget of one node runs out at every palette; the all-distinct
+    # vector is then returned uncertified, and it must still distinguish.
+    monkeypatch.setattr("symbreak.invariants._WITNESS_ONLY_NODE_BUDGET", 1)
+    C6 = cycle_graph(6)
+    iv = distinguishing_index(C6, witness_only=True)
+    assert (iv.value, iv.witness.colors, iv.certified) == (6, (1, 2, 3, 4, 5, 6), False)
+    assert is_distinguishing(C6, iv.witness)
+
+
 def test_witnesses_validate(corpus):
     for G in corpus[5][:8]:
         chi = chromatic_number(G)
@@ -223,3 +240,27 @@ def test_total_witness_shares_palette():
     iv = total_distinguishing_number(star_graph(4))
     assert isinstance(iv.witness, TotalColoring)
     assert iv.witness.vertex_part.palette == iv.witness.edge_part.palette == iv.value
+
+
+def test_witnesses_are_pinned(corpus):
+    # SHA-256 recorded before the six invariants were driven from one table:
+    # every value, witness, certified flag and error message must stay put.
+    digest = hashlib.sha256()
+    items = 0
+    for n in range(1, 7):
+        for G in corpus[n]:
+            graphs = [G] + ([subdivision_graph(G)] if G.num_edges else []) + [endline_graph(G)]
+            for H in graphs:
+                for kind, fn in INVARIANT_FUNCTIONS.items():
+                    for witness_only in (False, True):
+                        try:
+                            iv = fn(H, witness_only=witness_only)
+                            item = repr((kind, iv.value, iv.witness, iv.certified))
+                        except SymbreakError as e:
+                            item = f"{type(e).__name__}: {e}"
+                        digest.update(item.encode() + b"\n")
+                        items += 1
+    assert items == 5136
+    assert digest.hexdigest() == (
+        "4d95fc27387d791017b746e26a96b0f5d5a3404df2975367133b41f36f480e8b"
+    )

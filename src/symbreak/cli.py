@@ -212,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="enumerate small connected graphs as graph6")
+    p = sub.add_parser("gen", help="enumerate small graphs up to isomorphism as graph6")
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--min-order", type=int, default=1)
-    p.add_argument("--connected", action="store_true")
+    p.add_argument("--connected", action="store_true", help="connected graphs only")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--corpus", help="graph6 corpus file")
     src.add_argument("--builtin", type=int, help="builtin corpus up to this order")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "tsv"], default="json")
     p.set_defaults(func=_cmd_verify)

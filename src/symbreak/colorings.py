@@ -9,6 +9,7 @@ serialize.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import ContractError, MalformedInputError
@@ -60,11 +61,16 @@ class EdgeColoring:
         edges = tuple(sorted(norm))
         return cls(edges=edges, colors=tuple(norm[e] for e in edges), palette=palette)
 
+    @cached_property
+    def _position(self) -> dict[Edge, int]:
+        """Index of each domain edge into ``edges`` and ``colors``."""
+        return {e: k for k, e in enumerate(self.edges)}
+
     def color_of(self, u: int, v: int) -> int:
         e = (u, v) if u < v else (v, u)
         try:
-            return self.colors[self.edges.index(e)]
-        except ValueError:
+            return self.colors[self._position[e]]
+        except KeyError:
             raise ContractError(f"edge {e} not in coloring domain") from None
 
     def as_dict(self) -> dict[Edge, int]:

@@ -15,6 +15,7 @@ import multiprocessing
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 from .constructions import (
@@ -80,26 +81,23 @@ class CorpusSpec:
         )
 
 
-_CLASS_CACHE: dict[tuple[int, bool], tuple[Graph, ...]] = {}
-
-
+@cache
 def _isomorphism_classes(n: int, connected_only: bool) -> tuple[Graph, ...]:
-    """Every isomorphism class on n vertices exactly once, canonically
-    labelled, by scanning all edge subsets and deduplicating on canonical form."""
-    key = (n, connected_only)
-    if key in _CLASS_CACHE:
-        return _CLASS_CACHE[key]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    reps: dict[str, None] = {}
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if (mask >> k) & 1]
-        G = from_edge_list(n, edges)
-        if connected_only and not is_connected(G):
-            continue
-        reps.setdefault(canonical_form(G))
-    out = tuple(parse_graph6(s) for s in sorted(reps))
-    _CLASS_CACHE[key] = out
-    return out
+    """Every isomorphism class on n vertices once, canonically labelled and
+    sorted by graph6, by vertex augmentation: each class on n-1 vertices gains
+    vertex n-1 joined to each neighbour subset (nonempty when connected_only),
+    deduplicated on canonical form.  Complete: deleting a vertex (a non-cut
+    vertex, when connected) leaves a class on n-1 vertices."""
+    if n == 1:
+        return (from_edge_list(1, []),)
+    reps = {
+        canonical_form(from_edge_list(
+            n, G.edges + tuple((v, n - 1) for v in range(n - 1) if (mask >> v) & 1)
+        ))
+        for G in _isomorphism_classes(n - 1, connected_only)
+        for mask in range(int(connected_only), 1 << (n - 1))
+    }
+    return tuple(parse_graph6(s) for s in sorted(reps))
 
 
 def enumerate_corpus(spec: CorpusSpec) -> list[Graph]:
@@ -544,12 +542,15 @@ def run_check(check_id: str, spec: CorpusSpec, jobs: int = 1) -> VerificationRep
         raise MalformedInputError(
             f"unknown theorem id {check_id!r}; known: {', '.join(sorted(CHECKS))}"
         )
+    if jobs < 1:
+        raise MalformedInputError(f"jobs must be >= 1, got {jobs}")
     check = CHECKS[check_id]
     start = time.monotonic()
     graphs = [G for G in enumerate_corpus(spec) if check.hypothesis(G)]
     tasks = [(check_id, to_graph6(G)) for G in graphs]
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             records = pool.map(_evaluate_one, tasks)
     else:
         records = [_evaluate_one(t) for t in tasks]

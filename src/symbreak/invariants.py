@@ -79,11 +79,11 @@ def is_proper(G: Graph, c) -> bool:
     if isinstance(c, EdgeColoring):
         if c.edges != G.edges:
             raise ContractError("edge coloring domain does not match E(G)")
-        rank = {e: k for k, e in enumerate(G.edges)}
+        pos = c._position
         for v in range(G.n):
             seen = set()
             for w in G.adj[v]:
-                col = c.colors[rank[(v, w) if v < w else (w, v)]]
+                col = c.colors[pos[(v, w) if v < w else (w, v)]]
                 if col in seen:
                     return False
                 seen.add(col)

@@ -379,15 +379,7 @@ def lift_to_endline(alpha: Permutation, G: Graph) -> Permutation:
 def lift_to_subdivision(alpha: Permutation, G: Graph) -> Permutation:
     """Extend an automorphism of G to its subdivision graph: the edge vertex
     of {x,y} goes to the edge vertex of {alpha(x),alpha(y)}."""
-    if not is_automorphism(G, alpha):
-        raise ContractError("permutation is not an automorphism of the graph")
-    n = G.n
-    rank = {e: k for k, e in enumerate(G.edges)}
-    tail = []
-    for u, v in G.edges:
-        a, b = alpha[u], alpha[v]
-        tail.append(n + rank[(a, b) if a < b else (b, a)])
-    return tuple(alpha) + tuple(tail)
+    return tuple(alpha) + tuple(G.n + k for k in edge_index_action(alpha, G))
 
 
 def preserves(p: Permutation, c) -> bool:
@@ -398,14 +390,14 @@ def preserves(p: Permutation, c) -> bool:
         cols = c.colors
         return all(cols[p[i]] == cols[i] for i in range(len(p)))
     if isinstance(c, EdgeColoring):
-        rank = {e: k for k, e in enumerate(c.edges)}
+        pos = c._position
         cols = c.colors
         for k, (u, v) in enumerate(c.edges):
             a, b = p[u], p[v]
             img = (a, b) if a < b else (b, a)
-            if img not in rank:
+            if img not in pos:
                 raise ContractError("permutation does not act on the coloring domain")
-            if cols[rank[img]] != cols[k]:
+            if cols[pos[img]] != cols[k]:
                 return False
         return True
     if isinstance(c, TotalColoring):

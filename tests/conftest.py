@@ -21,5 +21,8 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def order7_path():
-    assert ORDER7_CORPUS.exists(), "run scripts/make_order7_corpus.py first"
+    assert ORDER7_CORPUS.exists(), (
+        f"{ORDER7_CORPUS} is missing; it is a frozen file in the repository "
+        "(the README shows how to rebuild it)"
+    )
     return str(ORDER7_CORPUS)

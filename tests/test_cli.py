@@ -161,6 +161,12 @@ def test_verify_builtin_exit_zero(capsys):
     assert "lemma-2.4" in err  # human summary goes to stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_verify_jobs_below_one_is_input_error(capsys, jobs):
+    code, _, err = run_cli(capsys, "verify", "--theorem", "thm-3.3", "--builtin", "3", "--jobs", jobs)
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_unknown_theorem_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--theorem", "thm-0.0", "--builtin", "3"])

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from symbreak.colorings import EdgeColoring, TotalColoring, VertexColoring
@@ -27,6 +29,14 @@ def test_edge_coloring_validation_and_lookup():
         EdgeColoring(((1, 2), (0, 1)), (1, 2), 2)  # unsorted domain
     with pytest.raises(MalformedInputError):
         EdgeColoring(P3.edges, (1,), 2)  # length mismatch
+
+
+def test_edge_lookup_cache_leaves_value_semantics_alone():
+    c = EdgeColoring(path_graph(4).edges, (1, 2, 1), 2)
+    assert c.color_of(3, 2) == 1  # fills the cached edge positions
+    fresh = EdgeColoring(c.edges, c.colors, c.palette)
+    assert c == fresh and hash(c) == hash(fresh)
+    assert pickle.loads(pickle.dumps(c)) == fresh
 
 
 def test_edge_coloring_from_dict_normalizes():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -30,6 +31,24 @@ def test_builtin_counts_match_published_values(corpus):
     assert [len(corpus[n]) for n in (3, 4, 5, 6)] == [2, 6, 21, 112]
 
 
+@pytest.mark.parametrize(
+    "connected_only, counts, digest",
+    [
+        (True, [1, 1, 2, 6, 21, 112],  # OEIS A001349
+         "129a8436896e7e6dad253b37ec23d14aab4dc3be89f9508892a174cc841df51c"),
+        (False, [1, 2, 4, 11, 34, 156],  # OEIS A000088
+         "2f19be32300e959a20473fa052d87ee337e9fa2d6db48263f8baf8c53c7b7629"),
+    ],
+)
+def test_builtin_corpus_is_pinned(connected_only, counts, digest):
+    # digests recorded from the edge-subset scan that the augmentation replaced:
+    # same classes, same labelling, same order
+    graphs = enumerate_corpus(CorpusSpec(min_order=1, max_order=6, connected_only=connected_only))
+    assert [sum(G.n == n for G in graphs) for n in range(1, 7)] == counts
+    text = "".join(to_graph6(G) + "\n" for G in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_builtin_counts_match_pairwise_isomorphism_dedup():
     # independent oracle: enumerate all connected labeled graphs and dedup by
     # scanning bijections
@@ -43,6 +62,16 @@ def test_builtin_counts_match_pairwise_isomorphism_dedup():
             if not any(brute_is_isomorphic(G, H) for H in reps):
                 reps.append(G)
         assert len(reps) == expected
+
+
+def test_augmentation_reproduces_shipped_order7_corpus(order7_path):
+    # the shipped file is frozen; order 7 is beyond the builtin cap but the
+    # enumerator itself has no cap
+    from symbreak.harness import _isomorphism_classes
+
+    with open(order7_path) as fh:
+        lines = [l.strip() for l in fh if l.strip() and not l.startswith(">>")]
+    assert [to_graph6(G) for G in _isomorphism_classes(7, True)] == lines
 
 
 def test_enumerate_corpus_builtin_caps_and_filters():
@@ -120,6 +149,35 @@ def test_run_check_parallel_matches_serial():
     serial = run_check("thm-3.3", spec, jobs=1)
     parallel = run_check("thm-3.3", spec, jobs=4)
     assert report_to_dict(serial) == report_to_dict(parallel)
+
+
+def test_run_check_pool_no_larger_than_task_count(monkeypatch):
+    # records the requested pool size and maps in-process: no real workers
+    import symbreak.harness as harness
+
+    sizes = []
+
+    class StubPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    class StubContext:
+        Pool = StubPool
+
+    monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method: StubContext)
+    spec = CorpusSpec(min_order=3, max_order=3)
+    report = run_check("thm-3.3", spec, jobs=8)
+    assert sizes == [2]  # the two connected graphs of order 3
+    assert report_to_dict(report) == report_to_dict(run_check("thm-3.3", spec))
 
 
 def test_run_check_parallel_matches_serial_on_file_corpus(tmp_path, order7_path):

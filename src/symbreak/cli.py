@@ -138,6 +138,10 @@ def _cmd_transform(args) -> int:
 def _cmd_invariant(args) -> int:
     G = _graph_argument(args.graph6)
     kinds = [k.strip() for k in args.which.split(",") if k.strip()]
+    if not kinds:
+        raise SymbreakError(
+            f"--which names no invariant; known: {', '.join(INVARIANT_FUNCTIONS)}"
+        )
     for kind in kinds:
         if kind not in INVARIANT_FUNCTIONS:
             raise SymbreakError(

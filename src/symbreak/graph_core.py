@@ -208,8 +208,12 @@ def to_graph6(G: Graph) -> str:
     return "".join(out)
 
 
+_GRAPH6_HEADER = ">>graph6<<"
+
+
 def read_graph6_file(path: str) -> list[Graph]:
-    """Read a graph6 file: one graph per line, ``>>`` header lines ignored."""
+    """Read a graph6 file: one graph per line, ``>>`` header lines ignored.
+    A graph after nauty's ``>>graph6<<`` header on the same line is read."""
     graphs = []
     # surrogateescape keeps one character per byte, so a character index in
     # a line is also its byte offset.
@@ -222,12 +226,15 @@ def read_graph6_file(path: str) -> list[Graph]:
                     offset,
                 )
             stripped = line.rstrip("\r\n")
-            if not stripped or stripped.startswith(">>"):
+            head = len(_GRAPH6_HEADER) if stripped.startswith(_GRAPH6_HEADER) else 0
+            if head == len(stripped) or (not head and stripped.startswith(">>")):
                 continue
             try:
-                graphs.append(parse_graph6(stripped))
+                graphs.append(parse_graph6(stripped[head:]))
             except GraphFormatError as exc:
-                raise GraphFormatError(f"{path}:{lineno}: {exc.message}", exc.offset) from exc
+                raise GraphFormatError(
+                    f"{path}:{lineno}: {exc.message}", head + exc.offset
+                ) from exc
     return graphs
 
 

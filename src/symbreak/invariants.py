@@ -42,8 +42,8 @@ from .graph_core import Graph, incident_edge_pairs, is_connected, to_graph6
 from .symmetry import (
     AutGroup,
     Permutation,
+    _subdivision_lifts,
     automorphism_group,
-    edge_index_action,
     identity_permutation,
     preserves,
     vertex_cap,
@@ -191,77 +191,51 @@ def _search_palette(
     (soundly pruned) tree is exhausted without finding one.
     """
     colors = [0] * npos
-    nprune = len(prune)
-    tptr = [0] * nprune
-    dead = [False] * nprune
-    # Bucket entries are (qi, token); an entry is live only while its token
-    # matches cur_tok[qi], so "removal" is just a token bump (lazy deletion).
-    cur_tok = [0] * nprune
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(npos)]
+    tptr = [0] * len(prune)
+    # buckets[k]: the prune permutations whose next comparison waits on
+    # position k.  A wake at position k reads buckets[k] and appends only to
+    # later buckets, and deeper wakes are undone first, so each permutation
+    # it moved is still last in its new bucket when it is undone.
+    buckets: list[list[int]] = [[] for _ in range(npos)]
     for qi, q in enumerate(prune):
-        buckets[q[0] if q[0] > 0 else 0].append((qi, 0))
+        buckets[q[0]].append(qi)
     stab_order = list(range(len(nonid)))
     nodes = 0
 
     def wake(k: int):
         """Advance every prune permutation waiting on position k.
 
-        Returns (pruned, journal, leftover); the journal undoes pointer moves
-        and placements, leftover holds unprocessed entries after an early cut.
+        Returns (pruned, moves).  The scan stops with pruned True at the
+        first permutation that maps the prefix to a smaller vector; moves
+        holds (qi, old pointer, new bucket) for each permutation moved on.
+        One that can no longer cut (it maps the prefix to a larger vector,
+        or preserves the whole vector) stays out of the buckets until undo.
         """
-        queue = buckets[k]
-        buckets[k] = []
-        journal = []
-        idx = 0
-        pruned = False
-        qlen = len(queue)
-        while idx < qlen:
-            qi, tok = queue[idx]
-            idx += 1
-            if tok != cur_tok[qi]:
-                continue  # stale entry left behind by an undo
+        moves = []
+        for qi in buckets[k]:
             q = prune[qi]
-            t0 = tptr[qi]
-            t = t0
-            was_dead = False
-            while True:
-                if t >= npos:
-                    was_dead = True
-                    break
+            t = tptr[qi]
+            while t < npos:
                 j = q[t]
                 if t > k or j > k:
+                    pos = t if t > j else j
+                    buckets[pos].append(qi)
+                    moves.append((qi, tptr[qi], pos))
+                    tptr[qi] = t
                     break
                 a = colors[t]
                 b = colors[j]
                 if b < a:
-                    pruned = True
-                    break
+                    return True, moves
                 if b > a:
-                    was_dead = True
                     break
                 t += 1
-            tptr[qi] = t
-            journal.append((qi, t0, was_dead))
-            if pruned:
-                break
-            if was_dead:
-                dead[qi] = True
-            else:
-                pos = t if t > q[t] else q[t]
-                cur_tok[qi] += 1
-                buckets[pos].append((qi, cur_tok[qi]))
-        leftover = queue[idx:] if pruned else ()
-        return pruned, journal, leftover
+        return False, moves
 
-    def undo(k: int, journal, leftover) -> None:
-        for qi, t0, was_dead in journal:
-            if was_dead:
-                dead[qi] = False
+    def undo(moves) -> None:
+        for qi, t0, pos in reversed(moves):
             tptr[qi] = t0
-            cur_tok[qi] += 1
-            buckets[k].append((qi, cur_tok[qi]))
-        if leftover:
-            buckets[k].extend(leftover)
+            buckets[pos].pop()
 
     def no_preserving_nonid() -> bool:
         cols = colors
@@ -293,21 +267,21 @@ def _search_palette(
             if node_budget is not None and nodes > node_budget:
                 raise _BudgetExceeded
             colors[k] = v
-            pruned, journal, leftover = wake(k)
+            pruned, moves = wake(k)
             if not pruned:
                 if last:
                     if no_preserving_nonid():
                         found = tuple(colors)
-                        undo(k, journal, leftover)
+                        undo(moves)
                         colors[k] = 0
                         return found
                 else:
                     found = rec(k + 1, v if v > maxc else maxc)
                     if found is not None:
-                        undo(k, journal, leftover)
+                        undo(moves)
                         colors[k] = 0
                         return found
-            undo(k, journal, leftover)
+            undo(moves)
         colors[k] = 0
         return None
 
@@ -359,10 +333,11 @@ def _vertex_position_group(G: Graph, aut: AutGroup) -> Sequence[Permutation]:
 
 
 def _edge_position_group(G: Graph, aut: AutGroup) -> list[Permutation]:
+    n = G.n
     ident = identity_permutation(G.num_edges)
     out = []
-    for p in aut.nonidentity():
-        act = edge_index_action(p, G)
+    for lifted in _subdivision_lifts(G, aut.nonidentity()):
+        act = tuple(k - n for k in lifted[n:])
         if act == ident:
             raise DegenerateCaseError(
                 "no distinguishing edge coloring exists: a nontrivial automorphism "
@@ -373,8 +348,7 @@ def _edge_position_group(G: Graph, aut: AutGroup) -> list[Permutation]:
 
 
 def _total_position_group(G: Graph, aut: AutGroup) -> list[Permutation]:
-    n = G.n
-    return [tuple(p) + tuple(n + e for e in edge_index_action(p, G)) for p in aut.nonidentity()]
+    return _subdivision_lifts(G, aut.nonidentity())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .colorings import EdgeColoring, TotalColoring, VertexColoring
 from .errors import ContractError, MalformedInputError, ResourceCapError
@@ -351,20 +351,13 @@ def is_isomorphic(G: Graph, H: Graph) -> Optional[Permutation]:
 
 def edge_action(p: Permutation, G: Graph) -> dict[Edge, Edge]:
     """Induced action on E(G): {x,y} -> {p(x),p(y)}."""
-    if not is_automorphism(G, p):
-        raise ContractError("permutation is not an automorphism of the graph")
-    out = {}
-    for u, v in G.edges:
-        a, b = p[u], p[v]
-        out[(u, v)] = (a, b) if a < b else (b, a)
-    return out
+    return {e: G.edges[k] for e, k in zip(G.edges, edge_index_action(p, G))}
 
 
 def edge_index_action(p: Permutation, G: Graph) -> Permutation:
     """Same action expressed on edge indices into G.edges."""
-    act = edge_action(p, G)
-    rank = {e: k for k, e in enumerate(G.edges)}
-    return tuple(rank[act[e]] for e in G.edges)
+    n = G.n
+    return tuple(k - n for k in lift_to_subdivision(p, G)[n:])
 
 
 def lift_to_endline(alpha: Permutation, G: Graph) -> Permutation:
@@ -379,7 +372,24 @@ def lift_to_endline(alpha: Permutation, G: Graph) -> Permutation:
 def lift_to_subdivision(alpha: Permutation, G: Graph) -> Permutation:
     """Extend an automorphism of G to its subdivision graph: the edge vertex
     of {x,y} goes to the edge vertex of {alpha(x),alpha(y)}."""
-    return tuple(alpha) + tuple(G.n + k for k in edge_index_action(alpha, G))
+    if not is_automorphism(G, alpha):
+        raise ContractError("permutation is not an automorphism of the graph")
+    return _subdivision_lifts(G, (alpha,))[0]
+
+
+def _subdivision_lifts(G: Graph, elements: Iterable[Permutation]) -> list[Permutation]:
+    """lift_to_subdivision of each of the given automorphisms, unchecked, in
+    order; the edge vertex of G.edges[k] is n + k, as in S(G)."""
+    n = G.n
+    rank = {e: n + k for k, e in enumerate(G.edges)}
+    out = []
+    for p in elements:
+        img = list(p)
+        for u, v in G.edges:
+            a, b = p[u], p[v]
+            img.append(rank[(a, b) if a < b else (b, a)])
+        out.append(tuple(img))
+    return out
 
 
 def preserves(p: Permutation, c) -> bool:

@@ -81,6 +81,12 @@ def test_invariant_unknown_kind(capsys):
     assert code == 2 and "unknown invariant" in err
 
 
+@pytest.mark.parametrize("which", [",", ""])
+def test_invariant_empty_which_is_usage_error(capsys, which):
+    code, out, err = run_cli(capsys, "invariant", "--which", which, "--graph6", "Bw")
+    assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
+
+
 def test_invariant_reads_stdin(capsys, monkeypatch):
     import io
 

@@ -108,6 +108,17 @@ def test_graph6_file_skips_headers(tmp_path):
     assert graphs == [complete_graph(3), complete_graph(4)]
 
 
+def test_graph6_file_reads_graph_glued_to_nauty_header(tmp_path):
+    # nauty writes ">>graph6<<" with no newline before the first graph.
+    path = tmp_path / "nauty.g6"
+    path.write_text(">>graph6<<Bw\nCF\n")
+    assert read_graph6_file(str(path)) == [parse_graph6("Bw"), parse_graph6("CF")]
+    path.write_text(">>graph6<<B!\n")
+    with pytest.raises(GraphFormatError) as info:
+        read_graph6_file(str(path))
+    assert info.value.offset == len(">>graph6<<B")  # counted from the start of the line
+
+
 def test_named_graphs():
     C6 = named_graph(NamedGraphSpec("C", (6,)))
     assert C6.n == 6 and C6.num_edges == 6 and set(C6.degrees()) == {2}

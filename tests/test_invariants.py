@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -29,6 +30,8 @@ from symbreak.invariants import (
     is_distinguishing,
     is_proper,
     total_distinguishing_number,
+    _KINDS,
+    _search_palette,
 )
 from symbreak.symmetry import automorphism_group, permute_graph
 from symbreak.transforms import endline_graph, middle_graph, subdivision_graph
@@ -264,3 +267,34 @@ def test_witnesses_are_pinned(corpus):
     assert digest.hexdigest() == (
         "4d95fc27387d791017b746e26a96b0f5d5a3404df2975367133b41f36f480e8b"
     )
+
+
+def test_orbit_prune_keeps_every_palette_answer():
+    # Random connected graphs of order 7-8 (a random tree plus up to two
+    # chords, so most have symmetry) and their S(G) and G+, for every kind.
+    # Inputs with more than 16 positions are skipped: the unpruned search
+    # checks every leaf against the whole group.  S(G) and G+ have at least
+    # 13 vertices, so a cut at 12 would keep none of their vertex kinds.
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(30):
+        n = rng.choice((7, 8))
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(3))]
+        G = from_edge_list(n, pairs)
+        for H in (G, subdivision_graph(G), endline_graph(G)):
+            for kind, spec in _KINDS.items():
+                npos = spec.positions(H)
+                if npos > 16:
+                    continue
+                prior = [[] for _ in range(npos)]
+                for a, b in spec.conflicts(H):
+                    prior[b].append(a)
+                nonid = () if spec.group is None else spec.group(H, automorphism_group(H))
+                value = INVARIANT_FUNCTIONS[kind](H).value
+                for r in range(1, value + 1):
+                    pruned = _search_palette(npos, prior, nonid, nonid, r)
+                    assert pruned == _search_palette(npos, prior, nonid, (), r), (kind, H.edges, r)
+                assert pruned is not None
+                checked += bool(nonid)
+    assert checked > 200

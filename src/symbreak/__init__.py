@@ -16,6 +16,7 @@ from .constructions import (
     exceptional_endline_coloring,
     lift_total_to_subdivision,
     restrict_subdivision_to_total,
+    subdivision_lift_coloring,
     subdivision_proper_distinguishing,
 )
 from .errors import (

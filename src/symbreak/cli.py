@@ -15,7 +15,7 @@ from .colorings import EdgeColoring, TotalColoring, VertexColoring
 from .constructions import (
     endline_extension_coloring,
     exceptional_endline_coloring,
-    lift_total_to_subdivision,
+    subdivision_lift_coloring,
     subdivision_proper_distinguishing,
 )
 from .errors import SymbreakError
@@ -34,12 +34,7 @@ from .harness import (
     report_exit_code,
     run_check,
 )
-from .invariants import (
-    INVARIANT_FUNCTIONS,
-    is_distinguishing,
-    is_proper,
-    total_distinguishing_number,
-)
+from .invariants import INVARIANT_FUNCTIONS
 from .symmetry import DEFAULT_VERTEX_CAP, automorphism_group, vertex_cap
 from .transforms import endline_graph, line_graph, middle_graph, subdivision_graph
 
@@ -166,33 +161,16 @@ def _cmd_aut(args) -> int:
     return 0
 
 
+_CONSTRUCTIONS = {
+    "exceptional": exceptional_endline_coloring,
+    "thm28": endline_extension_coloring,
+    "lift": subdivision_lift_coloring,
+    "thm47": subdivision_proper_distinguishing,
+}
+
+
 def _cmd_construct(args) -> int:
-    G = _graph_by_name_or_graph6(args.graph)
-    if args.which == "exceptional":
-        res = exceptional_endline_coloring(G)
-    elif args.which == "thm28":
-        res = endline_extension_coloring(G)
-    elif args.which == "thm47":
-        res = subdivision_proper_distinguishing(G)
-    elif args.which == "lift":
-        total = total_distinguishing_number(G)
-        S = subdivision_graph(G)
-        lifted = lift_total_to_subdivision(G, total.witness)
-        payload = {
-            "construction": "lift",
-            "graph6": to_graph6(S),
-            "palette": lifted.palette,
-            "coloring": _coloring_json(lifted),
-            "certification": {
-                "proper": is_proper(S, lifted),
-                "distinguishing": is_distinguishing(S, lifted),
-                "used_fallback": False,
-            },
-        }
-        print(json.dumps(payload, sort_keys=False))
-        return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise SymbreakError(f"unknown construction {args.which!r}")
+    res = _CONSTRUCTIONS[args.which](_graph_by_name_or_graph6(args.graph))
     payload = {
         "construction": args.which,
         "graph6": to_graph6(res.graph),
@@ -257,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_aut)
 
     p = sub.add_parser("construct", help="build one of the explicit colorings")
-    p.add_argument("--which", required=True, choices=["exceptional", "thm28", "lift", "thm47"])
+    p.add_argument("--which", required=True, choices=list(_CONSTRUCTIONS))
     p.add_argument("--graph", required=True, help="graph name (C6, K4, K3,3, ...) or graph6")
     p.set_defaults(func=_cmd_construct)
 

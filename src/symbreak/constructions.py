@@ -25,8 +25,9 @@ from .invariants import (
     distinguishing_number,
     is_distinguishing,
     is_proper,
+    total_distinguishing_number,
 )
-from .symmetry import automorphism_group, is_isomorphic
+from .symmetry import is_isomorphic
 from .transforms import endline_graph, subdivision_graph
 
 # The four exceptional graphs in catalog vertex order, and the fixed
@@ -70,6 +71,18 @@ class ConstructionResult:
         return self.proper and self.distinguishing
 
 
+def _certify(H: Graph, coloring, used_fallback: bool = False) -> ConstructionResult:
+    """Re-check a constructed coloring of H with the generic checkers."""
+    return ConstructionResult(
+        graph=H,
+        coloring=coloring,
+        palette=coloring.palette,
+        proper=is_proper(H, coloring),
+        distinguishing=is_distinguishing(H, coloring),
+        used_fallback=used_fallback,
+    )
+
+
 def exceptional_endline_coloring(G: Graph) -> ConstructionResult:
     """Proper distinguishing edge coloring of G+ with max_degree(G)+2 colors,
     for G one of C4, C6, K4, K3,3 in catalog vertex order.
@@ -100,15 +113,7 @@ def exceptional_endline_coloring(G: Graph) -> ConstructionResult:
             coloring[e] = 5
     for i in range(G.n):
         coloring[(i, G.n + i)] = 1 if i == cycle[0] else 2
-    col = EdgeColoring.from_dict(coloring, delta + 2)
-    aut = automorphism_group(Gp)
-    return ConstructionResult(
-        graph=Gp,
-        coloring=col,
-        palette=delta + 2,
-        proper=is_proper(Gp, col),
-        distinguishing=is_distinguishing(Gp, col, aut),
-    )
+    return _certify(Gp, EdgeColoring.from_dict(coloring, delta + 2))
 
 
 def endline_extension_coloring(G: Graph) -> ConstructionResult:
@@ -144,21 +149,10 @@ def endline_extension_coloring(G: Graph) -> ConstructionResult:
             missing = [c for c in range(1, delta + 2) if c not in present]
             assert missing, "a vertex of degree <= max degree always misses a color"
             coloring[(v, G.n + v)] = missing[0]
-    col = EdgeColoring.from_dict(coloring, delta + 1)
-    aut = automorphism_group(Gp)
-    proper = is_proper(Gp, col)
-    dist = is_distinguishing(Gp, col, aut)
-    if proper and dist:
-        return ConstructionResult(Gp, col, delta + 1, proper, dist)
-    exact = distinguishing_chromatic_index(Gp)
-    return ConstructionResult(
-        graph=Gp,
-        coloring=exact.witness,
-        palette=exact.value,
-        proper=is_proper(Gp, exact.witness),
-        distinguishing=is_distinguishing(Gp, exact.witness, aut),
-        used_fallback=True,
-    )
+    res = _certify(Gp, EdgeColoring.from_dict(coloring, delta + 1))
+    if res.certified:
+        return res
+    return _certify(Gp, distinguishing_chromatic_index(Gp).witness, used_fallback=True)
 
 
 def lift_total_to_subdivision(G: Graph, f: TotalColoring) -> VertexColoring:
@@ -167,6 +161,15 @@ def lift_total_to_subdivision(G: Graph, f: TotalColoring) -> VertexColoring:
     if len(f.vertex_part.colors) != G.n or f.edge_part.edges != G.edges:
         raise ContractError("total coloring domain does not match the graph")
     return VertexColoring(f.vertex_part.colors + f.edge_part.colors, f.palette)
+
+
+def subdivision_lift_coloring(G: Graph) -> ConstructionResult:
+    """Distinguishing vertex coloring of S(G) with D''(G) colors: the lift of
+    a minimal total distinguishing coloring of G.  Properness is reported,
+    not claimed; on a cycle, S(G) has automorphisms that G lacks."""
+    total = total_distinguishing_number(G)
+    S = subdivision_graph(G)
+    return _certify(S, lift_total_to_subdivision(G, total.witness))
 
 
 def restrict_subdivision_to_total(G: Graph, f: VertexColoring) -> TotalColoring:
@@ -208,12 +211,4 @@ def subdivision_proper_distinguishing(G: Graph) -> ConstructionResult:
     else:
         palette = 2
         colors = (1,) * G.n + (2,) * G.num_edges
-    col = VertexColoring(colors, palette)
-    aut = automorphism_group(S)
-    return ConstructionResult(
-        graph=S,
-        coloring=col,
-        palette=palette,
-        proper=is_proper(S, col),
-        distinguishing=is_distinguishing(S, col, aut),
-    )
+    return _certify(S, VertexColoring(colors, palette))

@@ -151,28 +151,34 @@ def from_edge_list(
 # graph6 encoding (short form, n <= 62)
 # ---------------------------------------------------------------------------
 
+_GRAPH6_HEADER = ">>graph6<<"
+
+
 def parse_graph6(line: str) -> Graph:
-    """Decode one short-form graph6 line into a Graph."""
+    """Decode one short-form graph6 line into a Graph.  A leading nauty
+    ``>>graph6<<`` header is skipped; error offsets count from the start of
+    the line."""
     s = line.rstrip("\r\n")
-    if not s:
-        raise GraphFormatError("empty graph6 line", 0)
-    b0 = ord(s[0])
+    h = len(_GRAPH6_HEADER) if s.startswith(_GRAPH6_HEADER) else 0
+    if len(s) == h:
+        raise GraphFormatError("empty graph6 line", h)
+    b0 = ord(s[h])
     if b0 == 126:
-        raise GraphFormatError("extended graph6 (order > 62) is not supported", 0)
+        raise GraphFormatError("extended graph6 (order > 62) is not supported", h)
     if not 63 <= b0 <= 125:
-        raise GraphFormatError(f"invalid order byte {s[0]!r}", 0)
+        raise GraphFormatError(f"invalid order byte {s[h]!r}", h)
     n = b0 - 63
     if n == 0:
-        raise GraphFormatError("graphs of order 0 are not supported", 0)
+        raise GraphFormatError("graphs of order 0 are not supported", h)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(s) != 1 + nbytes:
+    if len(s) - h != 1 + nbytes:
         raise GraphFormatError(
-            f"expected {1 + nbytes} characters for order {n}, got {len(s)}",
-            min(len(s), 1 + nbytes),
+            f"expected {1 + nbytes} characters for order {n}, got {len(s) - h}",
+            h + min(len(s) - h, 1 + nbytes),
         )
     values = []
-    for idx in range(1, len(s)):
+    for idx in range(h + 1, len(s)):
         v = ord(s[idx]) - 63
         if not 0 <= v <= 63:
             raise GraphFormatError(f"invalid data byte {s[idx]!r}", idx)
@@ -208,9 +214,6 @@ def to_graph6(G: Graph) -> str:
     return "".join(out)
 
 
-_GRAPH6_HEADER = ">>graph6<<"
-
-
 def read_graph6_file(path: str) -> list[Graph]:
     """Read a graph6 file: one graph per line, ``>>`` header lines ignored.
     A graph after nauty's ``>>graph6<<`` header on the same line is read."""
@@ -230,11 +233,9 @@ def read_graph6_file(path: str) -> list[Graph]:
             if head == len(stripped) or (not head and stripped.startswith(">>")):
                 continue
             try:
-                graphs.append(parse_graph6(stripped[head:]))
+                graphs.append(parse_graph6(stripped))
             except GraphFormatError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: {exc.message}", head + exc.offset
-                ) from exc
+                raise GraphFormatError(f"{path}:{lineno}: {exc.message}", exc.offset) from exc
     return graphs
 
 

@@ -105,6 +105,8 @@ def enumerate_corpus(spec: CorpusSpec) -> list[Graph]:
     file's graphs in file order, with the spec's filters applied."""
     if spec.min_order < 1:
         raise MalformedInputError("corpus min_order must be >= 1")
+    if spec.max_order < spec.min_order:
+        raise MalformedInputError(f"corpus order range {spec.min_order}..{spec.max_order} is empty")
     if spec.source == "builtin":
         if spec.max_order > BUILTIN_MAX_ORDER:
             raise MalformedInputError(

@@ -72,32 +72,27 @@ class InvariantValue:
 def is_proper(G: Graph, c) -> bool:
     """Vertex case: no edge monochromatic.  Edge case: no two edges sharing
     an endpoint monochromatic.  The coloring domain must match G exactly."""
+    if not isinstance(c, (VertexColoring, EdgeColoring)):
+        raise ContractError(f"is_proper expects a vertex or edge coloring, got {type(c).__name__}")
+    _check_domain(G, c)
     if isinstance(c, VertexColoring):
-        if len(c.colors) != G.n:
-            raise ContractError("vertex coloring domain does not match the graph")
         return all(c.colors[u] != c.colors[v] for u, v in G.edges)
-    if isinstance(c, EdgeColoring):
-        if c.edges != G.edges:
-            raise ContractError("edge coloring domain does not match E(G)")
-        pos = c._position
-        for v in range(G.n):
-            seen = set()
-            for w in G.adj[v]:
-                col = c.colors[pos[(v, w) if v < w else (w, v)]]
-                if col in seen:
-                    return False
-                seen.add(col)
-        return True
-    raise ContractError(f"is_proper expects a vertex or edge coloring, got {type(c).__name__}")
+    pos = c._position
+    for v in range(G.n):
+        seen = set()
+        for w in G.adj[v]:
+            col = c.colors[pos[(v, w) if v < w else (w, v)]]
+            if col in seen:
+                return False
+            seen.add(col)
+    return True
 
 
-def is_distinguishing(G: Graph, c, aut: Optional[AutGroup] = None) -> bool:
+def is_distinguishing(G: Graph, c) -> bool:
     """True iff only the identity automorphism preserves the coloring.
     Total colorings must be preserved in both parts simultaneously."""
     _check_domain(G, c)
-    if aut is None:
-        aut = automorphism_group(G)
-    return all(not preserves(p, c) for p in aut.nonidentity())
+    return all(not preserves(p, c) for p in automorphism_group(G).nonidentity())
 
 
 def _check_domain(G: Graph, c) -> None:

@@ -95,6 +95,27 @@ def test_invariant_reads_stdin(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["value"] == 4
 
 
+@pytest.mark.parametrize("via", ["stdin", "flag"])
+def test_aut_reads_graph_after_nauty_header(capsys, monkeypatch, via):
+    import io
+
+    line = ">>graph6<<" + to_graph6(path_graph(3))
+    if via == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        code, out, err = run_cli(capsys, "aut")
+    else:
+        code, out, err = run_cli(capsys, "aut", "--graph6", line)
+    assert (code, out, err) == (0, "2\n", "")
+
+
+@pytest.mark.parametrize("builtin", ["2", "0"])
+def test_verify_empty_order_range_is_input_error(capsys, builtin):
+    # --builtin N sweeps orders 3..N; below 3 the range is empty
+    code, out, err = run_cli(capsys, "verify", "--theorem", "thm-3.3", "--builtin", builtin)
+    assert code == 2 and out == ""
+    assert err == f"error: corpus order range 3..{builtin} is empty\n"
+
+
 def test_construct_exceptional(capsys):
     code, out, _ = run_cli(capsys, "construct", "--which", "exceptional", "--graph", "K3,3")
     assert code == 0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from symbreak.errors import GraphFormatError, MalformedInputError
@@ -21,6 +23,7 @@ from symbreak.graph_core import (
     to_graph6,
     write_graph6_file,
 )
+from symbreak.harness import CorpusSpec, enumerate_corpus
 from symbreak.transforms import subdivision_graph
 
 from oracles import naive_is_irreducible
@@ -117,6 +120,44 @@ def test_graph6_file_reads_graph_glued_to_nauty_header(tmp_path):
     with pytest.raises(GraphFormatError) as info:
         read_graph6_file(str(path))
     assert info.value.offset == len(">>graph6<<B")  # counted from the start of the line
+
+
+@pytest.fixture(scope="module")
+def all_graph6_lines():
+    """graph6 lines of every builtin graph of order <= 6, connected or not."""
+    return [to_graph6(G) for G in enumerate_corpus(CorpusSpec(max_order=6, connected_only=False))]
+
+
+def test_graph6_round_trip_all_builtin_graphs(all_graph6_lines):
+    assert len(all_graph6_lines) == 208
+    for line in all_graph6_lines:
+        G = parse_graph6(line)
+        assert to_graph6(G) == line
+        assert parse_graph6(">>graph6<<" + line) == G
+
+
+def test_graph6_byte_mutations_parse_or_raise_format_error(all_graph6_lines):
+    # Replace, insert or delete one byte (any of 0-255, decoded as the file
+    # reader does); the parser must return a graph or raise GraphFormatError.
+    rng = random.Random(6)
+    mutations = 0
+    for base in all_graph6_lines:
+        for prefix in ("", ">>graph6<<"):
+            line = prefix + base
+            for _ in range(25):
+                k = rng.randrange(len(line) + 1)
+                byte = bytes([rng.randrange(256)]).decode("ascii", errors="surrogateescape")
+                for mutated in (
+                    line[:k] + byte + line[k + 1 :],
+                    line[:k] + byte + line[k:],
+                    line[:k] + line[k + 1 :],
+                ):
+                    try:
+                        parse_graph6(mutated)
+                    except GraphFormatError:
+                        pass
+                    mutations += 1
+    assert mutations == 208 * 2 * 25 * 3
 
 
 def test_named_graphs():

@@ -1,0 +1,67 @@
+"""Seeded differential tests against the brute-force oracles.
+
+The graphs are randomly labelled, unlike the canonically labelled corpus
+graphs the other oracle tests see: each is a random tree on 5-7 vertices
+plus up to three chords, with its vertices shuffled.
+"""
+
+import itertools
+import random
+
+from symbreak.graph_core import from_edge_list
+from symbreak.invariants import INVARIANT_FUNCTIONS
+from symbreak.symmetry import automorphism_group, is_isomorphic
+
+from oracles import backtrack_automorphisms, brute_is_isomorphic, naive_invariant
+
+
+def _random_graph(rng: random.Random, n: int):
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(4))]
+    relabel = rng.sample(range(n), n)
+    return from_edge_list(n, [(relabel[a], relabel[b]) for a, b in pairs])
+
+
+_RNG = random.Random(2024)
+GRAPHS = [_random_graph(_RNG, _RNG.choice((5, 6, 7))) for _ in range(40)]
+
+
+def test_automorphism_group_matches_backtracking_oracle():
+    for G in GRAPHS:
+        aut = automorphism_group(G)
+        want = set(backtrack_automorphisms(G))
+        assert set(aut.elements) == want and aut.order == len(want), G.edges
+
+
+def test_isomorphism_witness_for_random_relabelling():
+    rng = random.Random(11)
+    for G in GRAPHS:
+        p = rng.sample(range(G.n), G.n)
+        H = from_edge_list(G.n, [(p[u], p[v]) for u, v in G.edges])
+        w = is_isomorphic(G, H)
+        assert w is not None and sorted(w) == list(range(G.n)), G.edges
+        assert all(H.has_edge(w[u], w[v]) for u, v in G.edges), G.edges
+
+
+def test_isomorphism_agrees_with_brute_force_on_equal_degree_sequences():
+    pairs = 0
+    for G, H in itertools.combinations(GRAPHS, 2):
+        if G.n != H.n or G.degree_sequence() != H.degree_sequence():
+            continue
+        pairs += 1
+        assert (is_isomorphic(G, H) is not None) == brute_is_isomorphic(G, H), (G.edges, H.edges)
+    assert pairs >= 10
+
+
+def test_invariants_match_naive_oracle():
+    compared = 0
+    for G in GRAPHS:
+        autos = backtrack_automorphisms(G)
+        positions = {"chi": G.n, "D": G.n, "chiD": G.n, "Dp": G.num_edges,
+                     "chiDp": G.num_edges, "Dpp": G.n + G.num_edges}
+        for kind, fn in INVARIANT_FUNCTIONS.items():
+            if positions[kind] > 9:
+                continue
+            assert fn(G).value == naive_invariant(G, kind, autos), (kind, G.edges)
+            compared += 1
+    assert compared >= 150

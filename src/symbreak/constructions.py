@@ -166,7 +166,11 @@ def lift_total_to_subdivision(G: Graph, f: TotalColoring) -> VertexColoring:
 def subdivision_lift_coloring(G: Graph) -> ConstructionResult:
     """Distinguishing vertex coloring of S(G) with D''(G) colors: the lift of
     a minimal total distinguishing coloring of G.  Properness is reported,
-    not claimed; on a cycle, S(G) has automorphisms that G lacks."""
+    not claimed.  Cycles are refused: S(Cn) = C2n has rotations that are
+    not lifts of automorphisms of Cn, so the lift need not be distinguishing
+    (it is not on C3, C4 and C5)."""
+    if is_cycle_graph(G):
+        raise ContractError("subdivision_lift_coloring does not apply to cycles")
     total = total_distinguishing_number(G)
     S = subdivision_graph(G)
     return _certify(S, lift_total_to_subdivision(G, total.witness))

@@ -23,12 +23,15 @@ group element provably maps the finished vector to a lexicographically
 smaller one.  Because validity (proper / distinguishing) is constant on
 orbits, the first accepted leaf is the lexicographically least valid vector,
 and exhausting the tree certifies that no valid vector exists at that palette
-size.
+size.  The prune uses at most 6,000 group elements, those of least support;
+D and chiD on a larger group never list it, and decide a leaf that none of
+those elements preserves by a search for an automorphism preserving it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .colorings import EdgeColoring, TotalColoring, VertexColoring
@@ -42,6 +45,10 @@ from .graph_core import Graph, incident_edge_pairs, is_connected, to_graph6
 from .symmetry import (
     AutGroup,
     Permutation,
+    _has_nontrivial_automorphism,
+    _select_prune_perms,
+    _small_group,
+    _smallest_support_automorphisms,
     _subdivision_lifts,
     automorphism_group,
     identity_permutation,
@@ -50,7 +57,6 @@ from .symmetry import (
 )
 
 DEFAULT_CERTIFY_CAP = 30
-_PRUNE_GROUP_CAP = 6000
 _WITNESS_ONLY_NODE_BUDGET = 200_000
 
 
@@ -144,33 +150,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _select_prune_perms(nonid: Sequence[Permutation]) -> list[Permutation]:
-    """Subset of group elements used for orbit pruning.
-
-    Pruning is sound with any subset; using everything is best but large
-    groups would dominate per-node cost, so beyond the cap we keep the
-    elements of smallest support (they do most of the cutting).  Buckets
-    keep enumeration order, so the selection is deterministic.
-    """
-    if len(nonid) <= _PRUNE_GROUP_CAP:
-        return list(nonid)
-    npos = len(nonid[0])
-    buckets: list[list[Permutation]] = [[] for _ in range(npos + 1)]
-    for p in nonid:
-        support = 0
-        for i, pi in enumerate(p):
-            if pi != i:
-                support += 1
-        buckets[support].append(p)
-    out: list[Permutation] = []
-    for bucket in buckets:
-        take = min(len(bucket), _PRUNE_GROUP_CAP - len(out))
-        out.extend(bucket[:take])
-        if len(out) == _PRUNE_GROUP_CAP:
-            break
-    return out
-
-
 def _search_palette(
     npos: int,
     prior_conflicts: Sequence[Sequence[int]],
@@ -178,9 +157,13 @@ def _search_palette(
     prune: Sequence[Permutation],
     r: int,
     node_budget: Optional[int] = None,
+    nontrivial: Optional[Callable[[list[int]], bool]] = None,
 ) -> Optional[tuple[int, ...]]:
     """First-fit lexicographic DFS for a valid coloring with <= r colors:
     no conflict pair monochromatic, and no element of ``nonid`` preserving it.
+    When ``nonid`` is only part of the group, ``nontrivial(colors)`` decides
+    whether the rest of the group has an element preserving a leaf that no
+    element of ``nonid`` preserves.
 
     Returns the lexicographically least valid color vector, or None when the
     (soundly pruned) tree is exhausted without finding one.
@@ -243,7 +226,7 @@ def _search_palette(
                 if oi:
                     stab_order.insert(0, stab_order.pop(oi))
                 return False
-        return True
+        return nontrivial is None or not nontrivial(cols)
 
     def rec(k: int, maxc: int) -> Optional[tuple[int, ...]]:
         nonlocal nodes
@@ -289,6 +272,7 @@ def _minimize(
     npos: int,
     conflict_pairs: Sequence[tuple[int, int]],
     nonid: Sequence[Permutation],
+    nontrivial: Optional[Callable[[list[int]], bool]],
     lower: int,
     witness_only: bool,
     max_positions: Optional[int],
@@ -307,7 +291,7 @@ def _minimize(
     certified = not witness_only
     for r in range(max(1, lower), npos + 1):
         try:
-            vec = _search_palette(npos, prior, nonid, prune, r, budget)
+            vec = _search_palette(npos, prior, nonid, prune, r, budget, nontrivial)
         except _BudgetExceeded:
             certified = False
             continue
@@ -432,10 +416,19 @@ def _invariant(
     npos = spec.positions(G)
     pairs = spec.conflicts(G)
     lower = spec.lower(G, npos, pairs, witness_only, max_positions)
-    nonid = () if spec.group is None else spec.group(G, automorphism_group(G))
+    nontrivial = None
+    if spec.group is None:
+        nonid = ()
+    elif spec.group is _vertex_position_group and _small_group(G) is None:
+        # A large group is never listed: the search prunes with its elements
+        # of least support and decides by search each leaf none of them keeps.
+        nonid = _smallest_support_automorphisms(G)
+        nontrivial = partial(_has_nontrivial_automorphism, G)
+    else:
+        nonid = spec.group(G, automorphism_group(G))
     value, vec, certified = _minimize(
-        kind=kind, npos=npos, conflict_pairs=pairs, nonid=nonid, lower=lower,
-        witness_only=witness_only, max_positions=max_positions,
+        kind=kind, npos=npos, conflict_pairs=pairs, nonid=nonid, nontrivial=nontrivial,
+        lower=lower, witness_only=witness_only, max_positions=max_positions,
     )
     out = InvariantValue(kind, value, spec.witness(G, vec, value), certified)
     if key is not None:

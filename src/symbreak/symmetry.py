@@ -1,22 +1,27 @@
 """Automorphism groups, isomorphism testing, canonical labeling, group actions.
 
-All groups are enumerated in full: the graphs this package targets are small,
-so stabilizers and distinguishing checks reduce to plain filters over the
-element list.  The search backtracks over an iterated degree/neighborhood
-refinement of the vertex set and validates adjacency incrementally, so leaves
-of the search tree are exactly the automorphisms.  It places the vertices of
-singleton cells first, then always the unplaced vertex with the most placed
-neighbours, so a wrong choice soon fails the adjacency check.  Elements are
-returned in a fixed order that does not depend on that search order (see
-AutGroup).
+Groups of at most _PRUNE_GROUP_CAP elements are listed in full, so
+stabilizers and distinguishing checks reduce to plain filters over the
+element list; automorphism_group lists a larger group too when asked.  The
+vertex-coloring searches (D and chiD) never list a larger group: they take
+its elements of least support from a search that cuts every branch moving
+too many vertices, and decide a coloring none of those preserves by a search
+whose refinement starts from the coloring.  Every search backtracks over an
+iterated degree/neighborhood refinement of the vertex set and validates
+adjacency incrementally, so leaves of the search tree are exactly the
+automorphisms.  It places the vertices of singleton cells first, then always
+the unplaced vertex with the most placed neighbours, so a wrong choice soon
+fails the adjacency check.  Elements are returned in a fixed order that does
+not depend on that search order (see AutGroup).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .colorings import EdgeColoring, TotalColoring, VertexColoring
 from .errors import ContractError, MalformedInputError, ResourceCapError
@@ -148,6 +153,12 @@ def _adjacency_masks(G: Graph) -> list[int]:
 # Automorphism group enumeration
 # ---------------------------------------------------------------------------
 
+# Groups of at most this many elements are listed in full.  Past it the
+# vertex-coloring searches (D and chiD) never list the group: they prune with
+# this many of its elements of least support and decide the rest by search.
+_PRUNE_GROUP_CAP = 6000
+
+
 def automorphism_group(
     G: Graph,
     *,
@@ -161,18 +172,33 @@ def automorphism_group(
     Default calls are cached per graph.
     """
     if max_vertices is None and max_order == DEFAULT_ORDER_CAP:
-        return _automorphism_group_cached(G)
-    return _enumerate_automorphisms(G, max_vertices, max_order)
+        group = _small_group(G)
+        if group is None:
+            group = _cached_group(G, max_order)
+    else:
+        group = _enumerate_automorphisms(G, max_vertices, max_order)
+    if group is None:
+        raise ResourceCapError(f"automorphism group larger than cap {max_order}")
+    return group
+
+
+def _small_group(G: Graph) -> Optional[AutGroup]:
+    """automorphism_group(G) if it has at most _PRUNE_GROUP_CAP elements,
+    else None; enumerates at most one element more.  Refuses G past the
+    vertex cap like automorphism_group."""
+    return _cached_group(G, _PRUNE_GROUP_CAP)
 
 
 @lru_cache(maxsize=32)
-def _automorphism_group_cached(G: Graph) -> AutGroup:
-    return _enumerate_automorphisms(G, None, DEFAULT_ORDER_CAP)
+def _cached_group(G: Graph, limit: int) -> Optional[AutGroup]:
+    return _enumerate_automorphisms(G, None, limit)
 
 
 def _enumerate_automorphisms(
     G: Graph, max_vertices: Optional[int], max_order: int
-) -> AutGroup:
+) -> Optional[AutGroup]:
+    """The whole group in the documented order, or None once it is known to
+    have more than max_order elements."""
     n = G.n
     cap = vertex_cap(max_vertices, DEFAULT_VERTEX_CAP)
     if n > cap:
@@ -180,30 +206,112 @@ def _enumerate_automorphisms(
             f"automorphism search refused: order {n} exceeds cap {cap} "
             "(set SYMBREAK_MAX_VERTICES to override)"
         )
-    colors = _refine_colors(G, [0] * n)
+    s = _search_setup(G, [0] * n)
+    found = _automorphisms(s, 0, n, max_order)
+    if found is None:
+        return None
+    if s.order != s.cell_order:
+        # The search emits elements in lexicographic order of their images
+        # along `order`; restore the documented order along `cell_order`.
+        found.sort(key=_element_key(s.cell_order))
+    return AutGroup(n=n, elements=tuple(found))
+
+
+def _smallest_support_automorphisms(G: Graph) -> list[Permutation]:
+    """The _PRUNE_GROUP_CAP non-identity automorphisms of least support (all
+    of them, if there are fewer), ordered by support, then in the documented
+    element order.  On a group past the cap this is what _select_prune_perms
+    keeps of the listed group.  One search per support size, each cutting
+    every branch that moves more vertices."""
+    n = G.n
+    s = _search_setup(G, [0] * n)
+    key = _element_key(s.cell_order)
+    out: list[Permutation] = []
+    # No automorphism moves exactly one vertex.
+    for support in range(2, n + 1):
+        if len(out) >= _PRUNE_GROUP_CAP:
+            break
+        out.extend(sorted(_automorphisms(s, support, support, math.inf), key=key))
+    return out[:_PRUNE_GROUP_CAP]
+
+
+def _has_nontrivial_automorphism(G: Graph, colors: Sequence[int]) -> bool:
+    """Does an automorphism other than the identity keep every vertex color?
+    The refinement starts from the colors, and the search stops at the first
+    such automorphism."""
+    return _automorphisms(_search_setup(G, list(colors)), 1, G.n, 0) is None
+
+
+def _select_prune_perms(nonid: Sequence[Permutation]) -> list[Permutation]:
+    """Subset of group elements used for orbit pruning.
+
+    Pruning is sound with any subset; using everything is best but large
+    groups would dominate per-node cost, so beyond the cap we keep the
+    elements of smallest support (they do most of the cutting).  The sort is
+    stable, so ties keep enumeration order and the selection is deterministic.
+    """
+    if len(nonid) <= _PRUNE_GROUP_CAP:
+        return list(nonid)
+    return sorted(nonid, key=_support)[:_PRUNE_GROUP_CAP]
+
+
+def _support(p: Permutation) -> int:
+    return sum(pi != i for i, pi in enumerate(p))
+
+
+# ---------------------------------------------------------------------------
+# The backtracking search behind all of the above
+# ---------------------------------------------------------------------------
+
+class _Setup(NamedTuple):
+    cell_order: list[int]  # fixes the element order
+    order: list[int]  # the order vertices are placed in
+    cands: list[list[int]]  # per depth: the candidate cell of order[d]
+    prior_nbrs: list[list[int]]  # per depth: the already-placed neighbours of order[d]
+    masks: list[int]
+
+
+class _Overflow(Exception):
+    pass
+
+
+def _search_setup(G: Graph, colors: list[int]) -> _Setup:
+    """Refine the colors and lay the search out over the refined cells."""
+    n = G.n
+    colors = _refine_colors(G, colors)
     members: dict[int, list[int]] = {}
     for v in range(n):
         members.setdefault(colors[v], []).append(v)
-    # cell_order fixes the element order; order is the order vertices are placed in.
     cell_order = sorted(range(n), key=lambda v: (len(members[colors[v]]), colors[v], v))
     masks = _adjacency_masks(G)
     forced = sum(len(cell) == 1 for cell in members.values())
     order = _placement_order(cell_order, forced, masks)
-    # Per depth: the candidate cell of order[d] and its already-placed neighbors.
     cands = [members[colors[v]] for v in order]
     prior_nbrs = [
         [u for u in order[:d] if (masks[order[d]] >> u) & 1] for d in range(n)
     ]
+    return _Setup(cell_order, order, cands, prior_nbrs, masks)
 
+
+def _automorphisms(
+    s: _Setup, lo: int, hi: int, limit: float
+) -> Optional[list[Permutation]]:
+    """The automorphisms that keep every refined cell and move at least lo
+    and at most hi vertices, in lexicographic order of their images along
+    s.order; None as soon as more than `limit` are found.  A branch is cut
+    as soon as it must move more than hi vertices."""
+    order, cands, prior_nbrs, masks = s.order, s.cands, s.prior_nbrs, s.masks
+    n = len(order)
     image = [-1] * n
     used = [False] * n
-    results: list[Permutation] = []
+    found: list[Permutation] = []
 
-    def rec(d: int, used_mask: int) -> None:
+    def rec(d: int, used_mask: int, moved: int) -> None:
         if d == n:
-            results.append(tuple(image))
-            if len(results) > max_order:
-                raise ResourceCapError(f"automorphism group larger than cap {max_order}")
+            if moved >= lo:
+                found.append(tuple(image))
+                if len(found) > limit:
+                    raise _Overflow
             return
         want = 0
         for u in prior_nbrs[d]:
@@ -212,22 +320,30 @@ def _enumerate_automorphisms(
         for w in cands[d]:
             if used[w] or masks[w] & used_mask != want:
                 continue
+            # moved counts the vertices no completion can fix: each x with
+            # image[x] != x, and each such image (its preimage is not itself).
+            m = moved if w == v else moved + (not used[v]) + (image[w] < 0)
+            if m > hi:
+                continue
             image[v] = w
             used[w] = True
-            rec(d + 1, used_mask | (1 << w))
+            rec(d + 1, used_mask | (1 << w), m)
             used[w] = False
         image[v] = -1
 
-    rec(0, 0)
-    if order != cell_order:
-        # The search emits elements in lexicographic order of their images
-        # along `order`; restore the documented order along `cell_order`.
-        # Byte keys keep the sort's memory small for the factorial groups.
-        if n <= 256:
-            results.sort(key=lambda p: bytes([p[v] for v in cell_order]))
-        else:
-            results.sort(key=lambda p: [p[v] for v in cell_order])
-    return AutGroup(n=n, elements=tuple(results))
+    try:
+        rec(0, 0, 0)
+    except _Overflow:
+        return None
+    return found
+
+
+def _element_key(cell_order: list[int]) -> Callable[[Permutation], object]:
+    """Sort key of the documented element order.  Byte keys keep the sort's
+    memory small for the factorial groups."""
+    if len(cell_order) <= 256:
+        return lambda p: bytes([p[v] for v in cell_order])
+    return lambda p: [p[v] for v in cell_order]
 
 
 def _placement_order(cell_order: list[int], forced: int, masks: list[int]) -> list[int]:

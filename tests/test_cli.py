@@ -6,6 +6,7 @@ from symbreak.cli import main
 from symbreak.graph_core import (
     complete_graph,
     cycle_graph,
+    from_edge_list,
     parse_graph6,
     path_graph,
     to_graph6,
@@ -280,3 +281,57 @@ def test_invariant_witness_only_out_of_budget(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "invariant", "--which", "Dp", "--witness-only", "--graph6", s)
     assert code == 0
     assert json.loads(out) == {"kind": "Dp", "value": 6, "certified": False}
+
+
+@pytest.mark.parametrize("graph", ["C4", "C5"])
+def test_construct_lift_refuses_cycles(capsys, graph):
+    # S(Cn) = C2n has rotations that lift no automorphism of Cn; on C4 and C5
+    # the lift was printed with "distinguishing": false and exit 0.
+    code, out, err = run_cli(capsys, "construct", "--which", "lift", "--graph", graph)
+    assert code == 2 and out == ""
+    assert err == "error: subdivision_lift_coloring does not apply to cycles\n"
+
+
+def test_construct_lift_on_path_is_unchanged(capsys):
+    code, out, _ = run_cli(capsys, "construct", "--which", "lift", "--graph", "P4")
+    assert code == 0
+    assert json.loads(out) == {
+        "construction": "lift",
+        "graph6": "F?p`_",
+        "palette": 2,
+        "coloring": {"vertices": {"0": 1, "1": 1, "2": 1, "3": 1, "4": 1, "5": 1, "6": 2}},
+        "certification": {"proper": False, "distinguishing": True, "used_fallback": False},
+    }
+
+
+_EVERY_SUBCOMMAND = [
+    ("gen", "--max-order", "3"),
+    ("verify", "--theorem", "thm-3.3", "--builtin", "3"),
+    ("transform", "--op", "line", "--graph6", "DqK"),
+    ("invariant", "--which", "chi", "--graph6", "DqK"),
+    ("aut", "--graph6", "DqK"),
+    ("construct", "--which", "thm47", "--graph", "P4"),
+]
+
+_INPUT_ERRORS = {
+    "missing corpus file": (None, ("verify", "--theorem", "thm-3.3", "--corpus", "{tmp}/missing.g6")),
+    "directory as corpus": (None, ("verify", "--theorem", "thm-3.3", "--corpus", "{tmp}")),
+    "bad graph6": (None, ("invariant", "--which", "chi", "--graph6", "!!bad")),
+    "disconnected graph": (
+        None, ("invariant", "--which", "D", "--graph6", to_graph6(from_edge_list(3, [(0, 1)]))),
+    ),
+    "edgeless Dp": (None, ("invariant", "--which", "Dp", "--graph6", "@")),
+    "jobs 0": (None, ("verify", "--theorem", "thm-3.3", "--builtin", "3", "--jobs", "0")),
+    "empty order range": (None, ("verify", "--theorem", "thm-3.3", "--builtin", "2")),
+    **{f"SYMBREAK_MAX_VERTICES=x on {argv[0]}": ("x", argv) for argv in _EVERY_SUBCOMMAND},
+}
+
+
+@pytest.mark.parametrize("env, argv", _INPUT_ERRORS.values(), ids=list(_INPUT_ERRORS))
+def test_input_and_environment_errors_exit_two(capsys, monkeypatch, tmp_path, env, argv):
+    if env is not None:
+        monkeypatch.setenv("SYMBREAK_MAX_VERTICES", env)
+    code, _, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

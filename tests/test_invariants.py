@@ -20,9 +20,11 @@ from symbreak.graph_core import (
     path_graph,
     star_graph,
 )
+from symbreak import invariants, symmetry
 from symbreak.invariants import (
     INVARIANT_FUNCTIONS,
     chromatic_number,
+    clear_invariant_cache,
     distinguishing_chromatic_index,
     distinguishing_chromatic_number,
     distinguishing_index,
@@ -267,6 +269,60 @@ def test_witnesses_are_pinned(corpus):
     assert digest.hexdigest() == (
         "4d95fc27387d791017b746e26a96b0f5d5a3404df2975367133b41f36f480e8b"
     )
+
+
+def test_witnesses_are_pinned_without_listing_groups(corpus, monkeypatch):
+    # With the group-size cap at 4, D and chiD on every graph with a group of
+    # more than 4 elements prune with 4 elements and decide the other leaves
+    # by the coloured search: the same items must give the same digest.
+    calls = {"select": 0, "decide": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(symmetry, "_PRUNE_GROUP_CAP", 4)
+    monkeypatch.setattr(
+        invariants, "_smallest_support_automorphisms",
+        counted("select", invariants._smallest_support_automorphisms),
+    )
+    monkeypatch.setattr(
+        invariants, "_has_nontrivial_automorphism",
+        counted("decide", invariants._has_nontrivial_automorphism),
+    )
+    clear_invariant_cache()
+    try:
+        test_witnesses_are_pinned(corpus)
+    finally:
+        clear_invariant_cache()
+    assert calls["select"] > 500 and calls["decide"] > 500
+
+
+def test_large_group_is_never_listed(monkeypatch):
+    # S(K1,9) has 362,880 automorphisms; D must not list more than 6,001.
+    real = symmetry._enumerate_automorphisms
+
+    def at_most_6001(G, max_vertices, max_order):
+        assert max_order <= 6000, "asked to list more than 6,001 elements"
+        return real(G, max_vertices, max_order)
+
+    monkeypatch.setattr(symmetry, "_enumerate_automorphisms", at_most_6001)
+    symmetry._cached_group.cache_clear()
+    clear_invariant_cache()
+    iv = distinguishing_number(subdivision_graph(star_graph(9)))
+    assert (iv.value, iv.certified) == (3, True)
+    assert iv.witness.colors == (1, 1, 1, 1, 2, 2, 2, 3, 3, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3)
+
+
+def test_star_beyond_the_order_cap_is_answered():
+    # K1,11 has 39,916,800 automorphisms, past the 10,000,000 order cap that
+    # used to refuse it; every leaf needs its own color.
+    clear_invariant_cache()
+    iv = distinguishing_number(star_graph(11))
+    assert (iv.value, iv.certified) == (11, True)
+    assert sorted(iv.witness.colors[1:]) == list(range(1, 12))
 
 
 def test_orbit_prune_keeps_every_palette_answer():

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from symbreak.colorings import EdgeColoring, TotalColoring, VertexColoring
+from symbreak import symmetry
 from symbreak.errors import ContractError, MalformedInputError, ResourceCapError
 from symbreak.graph_core import (
     complete_bipartite_graph,
@@ -13,8 +14,11 @@ from symbreak.graph_core import (
     NamedGraphSpec,
     parse_graph6,
     path_graph,
+    star_graph,
 )
 from symbreak.symmetry import (
+    _select_prune_perms,
+    _smallest_support_automorphisms,
     automorphism_group,
     canonical_form,
     compose,
@@ -117,6 +121,26 @@ def test_subdivision_groups_with_large_independent_cells(G, order):
     assert aut.order == order
     assert len(set(aut.elements)) == order
     assert all(is_automorphism(S, p) for p in aut)
+
+
+@pytest.mark.parametrize(
+    "G, cap",
+    [
+        (subdivision_graph(star_graph(8)), 6000),
+        (complete_graph(8), 6000),
+        (subdivision_graph(parse_graph6("FwC^w")), 20),
+    ],
+    ids=["S(K1,8)", "K8", "S(FwC^w) cap 20"],
+)
+def test_smallest_support_search_matches_selection_from_the_group(monkeypatch, G, cap):
+    # The support-bounded search must find exactly the prune elements the
+    # palette search used to take from the listed group (40,320 elements in
+    # the first two cases).  On S(FwC^w) the search meets the elements of one
+    # support in another order than the documented one.
+    monkeypatch.setattr(symmetry, "_PRUNE_GROUP_CAP", cap)
+    assert _smallest_support_automorphisms(G) == _select_prune_perms(
+        automorphism_group(G).nonidentity()
+    )
 
 
 def test_order_cap():

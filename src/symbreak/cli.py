@@ -112,7 +112,10 @@ def _cmd_verify(args) -> int:
         f"({report.wall_time_s:.1f}s)",
         file=sys.stderr,
     )
-    return report_exit_code(report)
+    code = report_exit_code(report)
+    if code == 2:
+        print(f"{s['failed']} error rows", file=sys.stderr)
+    return code
 
 
 def _cmd_transform(args) -> int:

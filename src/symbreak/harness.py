@@ -591,7 +591,11 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 
 def report_exit_code(report: VerificationReport) -> int:
-    return 0 if report.summary["failed"] == 0 else 1
+    """0 when every row passed, 1 when some row is a counterexample (``fail``),
+    and 2 when every failed row is an ``error`` (the check could not run)."""
+    if report.summary["failed"] == 0:
+        return 0
+    return 1 if any(r["status"] == "fail" for r in report.records) else 2
 
 
 def emit_report(report: VerificationReport, format: str = "json", path: Optional[str] = None) -> None:

@@ -17,15 +17,18 @@ up the memo of certified values and runs the search.  The six public
 functions are one-line wrappers around it.
 
 One backtracking engine serves all six.  Color vectors are enumerated in
-position order with a first-fit palette restriction, properness enforced as
-prefix constraints, and a sound orbit prune: a prefix is cut as soon as some
-group element provably maps the finished vector to a lexicographically
-smaller one.  Because validity (proper / distinguishing) is constant on
-orbits, the first accepted leaf is the lexicographically least valid vector,
-and exhausting the tree certifies that no valid vector exists at that palette
-size.  The prune uses at most 6,000 group elements, those of least support;
-D and chiD on a larger group never list it, and decide a leaf that none of
-those elements preserves by a search for an automorphism preserving it.
+position order with a first-fit palette restriction, properness enforced by
+forward checking (each position keeps the set of colors its colored
+conflict partners hold, and a prefix is cut as soon as some later position
+has none of the r colors left), and a sound orbit prune: a prefix is cut as
+soon as some group element provably maps the finished vector to a
+lexicographically smaller one.  Both cuts remove only subtrees without a valid leaf, and
+validity (proper / distinguishing) is constant on orbits, so the first
+accepted leaf is the lexicographically least valid vector, and exhausting
+the tree certifies that no valid vector exists at that palette size.  The
+prune uses at most 6,000 group elements, those of least support; D and chiD
+on a larger group never list it, and decide a leaf that none of those
+elements preserves by a search for an automorphism preserving it.
 """
 
 from __future__ import annotations
@@ -165,6 +168,13 @@ def _search_palette(
     whether the rest of the group has an element preserving a leaf that no
     element of ``nonid`` preserves.
 
+    ``prior_conflicts[k]`` lists the conflict partners of position k that
+    come before it.  Coloring k adds its color to the used-color sets of its
+    later partners (forward checking, Haralick & Elliott, AIJ 1980); a color
+    is blocked at k when a partner already holds it, and a branch that leaves
+    a later position with no free color is cut before the orbit prune runs.
+    Kinds without conflict pairs do no such bookkeeping.
+
     Returns the lexicographically least valid color vector, or None when the
     (soundly pruned) tree is exhausted without finding one.
     """
@@ -228,38 +238,59 @@ def _search_palette(
                 return False
         return nontrivial is None or not nontrivial(cols)
 
+    # Forward checking: bit c of used[j] is set when a colored conflict
+    # partner of j holds color c; j has no color left when used[j] == full.
+    # Coloring k records in ``changed`` the partners whose bit it set, so
+    # clearing those bits undoes it exactly (deeper levels never touch them).
+    later: list[list[int]] = [[] for _ in range(npos)]
+    for b, confl in enumerate(prior_conflicts):
+        for a in confl:
+            later[a].append(b)
+    used = [0] * npos
+    full = (1 << (r + 1)) - 2
+
     def rec(k: int, maxc: int) -> Optional[tuple[int, ...]]:
         nonlocal nodes
         limit = maxc + 1 if maxc < r else r
-        confl = prior_conflicts[k]
+        uk = used[k]
+        lk = later[k]
         last = k == npos - 1
         for v in range(1, limit + 1):
-            blocked = False
-            for j in confl:
-                if colors[j] == v:
-                    blocked = True
-                    break
-            if blocked:
+            bit = 1 << v
+            if uk & bit:
                 continue
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise _BudgetExceeded
             colors[k] = v
+            if lk:
+                wiped = False
+                changed = []
+                for j in lk:
+                    m = used[j]
+                    if not m & bit:
+                        m |= bit
+                        used[j] = m
+                        changed.append(j)
+                        if m == full:
+                            wiped = True
+                if wiped:  # a later position has no color left
+                    for j in changed:
+                        used[j] ^= bit
+                    continue
             pruned, moves = wake(k)
-            if not pruned:
+            if not pruned:  # a vector found ends the search: nothing is undone
                 if last:
                     if no_preserving_nonid():
-                        found = tuple(colors)
-                        undo(moves)
-                        colors[k] = 0
-                        return found
+                        return tuple(colors)
                 else:
                     found = rec(k + 1, v if v > maxc else maxc)
                     if found is not None:
-                        undo(moves)
-                        colors[k] = 0
                         return found
             undo(moves)
+            if lk:
+                for j in changed:
+                    used[j] ^= bit
         colors[k] = 0
         return None
 

@@ -154,6 +154,54 @@ def naive_invariant(G: Graph, kind: str, autos=None) -> int:
     raise AssertionError(f"no {kind} coloring found up to {npos} colors")
 
 
+def least_valid_vector(G: Graph, kind: str, r: int, autos=None):
+    """Lexicographically least valid color vector with at most r colors for
+    ``chi``, ``chiD`` or ``chiDp``, or None when there is none.
+
+    Validity (proper, and distinguishing for chiD and chiDp) does not change
+    when colors are renamed, and renaming colors in order of first use never
+    makes a vector larger, so the least valid vector is a restricted-growth
+    string: each entry at most one more than every entry before it.  Those
+    are scanned in lexicographic order and every one is checked in full, with
+    no pruning of prefixes.  ``autos`` defaults to the n!-filter.
+    """
+    rank = _edge_rank(G)
+    if kind in ("chi", "chiD"):
+        npos, pairs = G.n, list(G.edges)
+    elif kind == "chiDp":
+        npos = G.num_edges
+        pairs = [
+            (i, j)
+            for i, j in itertools.combinations(range(npos), 2)
+            if set(G.edges[i]) & set(G.edges[j])
+        ]
+    else:
+        raise ValueError(kind)
+    nonid = []
+    if kind != "chi":
+        if autos is None:
+            autos = brute_automorphisms(G)
+        nonid = [p for p in autos if p != identity(G.n)]
+
+    def valid(colors) -> bool:
+        if any(colors[a] == colors[b] for a, b in pairs):
+            return False
+        if kind == "chiD":
+            return not any(_vertex_preserved(p, colors) for p in nonid)
+        if kind == "chiDp":
+            return not any(_edge_preserved(G, rank, p, colors) for p in nonid)
+        return True
+
+    def first_fit(prefix: list, top: int):
+        if len(prefix) == npos:
+            yield tuple(prefix)
+            return
+        for c in range(1, min(top + 1, r) + 1):
+            yield from first_fit(prefix + [c], max(top, c))
+
+    return next((colors for colors in first_fit([], 0) if valid(colors)), None)
+
+
 def naive_is_irreducible(G: Graph) -> bool:
     for x in range(G.n):
         for y in range(x + 1, G.n):

@@ -206,17 +206,18 @@ def test_verify_missing_corpus_file_is_input_error(capsys):
     assert code == 2
 
 
-def test_verify_error_record_yields_exit_one(tmp_path, capsys):
+def test_verify_error_record_yields_exit_two(tmp_path, capsys):
     # a graph past the certification cap produces an error record, which
-    # counts as a failure and flips the exit code
+    # counts as a failure; with no counterexample the exit code is 2, not 1
     from symbreak.graph_core import path_graph, write_graph6_file
 
     corpus_file = tmp_path / "toobig.g6"
     write_graph6_file(str(corpus_file), [path_graph(35)])
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "verify", "--theorem", "thm-3.3", "--corpus", str(corpus_file)
     )
-    assert code == 1
+    assert code == 2
+    assert err.splitlines()[-1] == "1 error rows"
     payload = json.loads(out)
     assert payload["summary"]["failed"] == 1
     assert payload["records"][0]["status"] == "error"

@@ -264,6 +264,23 @@ def test_exit_code_contract_on_failure():
     assert report_exit_code(failing) == 1
 
 
+@pytest.mark.parametrize("statuses, code", [(("error", "fail"), 1), (("error", "error"), 2)])
+def test_exit_code_separates_counterexamples_from_errors(statuses, code):
+    # exit 1 needs a counterexample; error rows alone (a cap, a bad graph) give 2
+    records = tuple(
+        {"graph6": g6, "n": 3, "max_degree": 2, "status": st, "note": "", "values": {}}
+        for g6, st in zip(("Bg", "Bw"), statuses)
+    )
+    report = VerificationReport(
+        theorem="thm-3.3",
+        corpus="synthetic",
+        records=records,
+        summary={"checked": 2, "passed": 0, "failed": 2, "paper_inconsistent": 0},
+        counterexamples=("Bg", "Bw"),
+    )
+    assert report_exit_code(report) == code
+
+
 def test_report_record_fields(corpus):
     report = run_check("thm-3.3", CorpusSpec(min_order=3, max_order=3))
     assert report.summary["checked"] == 2

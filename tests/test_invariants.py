@@ -17,6 +17,7 @@ from symbreak.graph_core import (
     complete_graph,
     cycle_graph,
     from_edge_list,
+    parse_graph6,
     path_graph,
     star_graph,
 )
@@ -35,7 +36,7 @@ from symbreak.invariants import (
     _KINDS,
     _search_palette,
 )
-from symbreak.symmetry import automorphism_group, permute_graph
+from symbreak.symmetry import _select_prune_perms, automorphism_group, permute_graph
 from symbreak.transforms import endline_graph, middle_graph, subdivision_graph
 
 from oracles import brute_automorphisms, naive_invariant
@@ -354,3 +355,23 @@ def test_orbit_prune_keeps_every_palette_answer():
                 assert pruned is not None
                 checked += bool(nonid)
     assert checked > 200
+
+
+def test_look_ahead_keeps_a_tight_palette_within_budget():
+    # The proper edge search on M(F@_iw) at its value, palette 7, visits
+    # 326,467 nodes without look-ahead and 159,709 with it: the witness-only
+    # budget of 200,000 now reaches the exact value instead of running out.
+    H = middle_graph(parse_graph6("F@_iw"))
+    spec = _KINDS["chiDp"]
+    npos = spec.positions(H)
+    prior = [[] for _ in range(npos)]
+    for a, b in spec.conflicts(H):
+        prior[b].append(a)
+    nonid = spec.group(H, automorphism_group(H))
+    vec = _search_palette(npos, prior, nonid, _select_prune_perms(nonid), 7, node_budget=200_000)
+    assert vec == (
+        1, 1, 1, 2, 2, 1, 2, 1, 3, 1, 2, 3, 3, 4, 2,
+        5, 3, 4, 5, 6, 2, 4, 3, 6, 7, 7, 6, 5, 4, 1,
+    )
+    iv = distinguishing_chromatic_index(H, witness_only=True)
+    assert (iv.value, iv.witness.colors, iv.certified) == (7, vec, False)

@@ -1,18 +1,25 @@
 """Seeded differential tests against the brute-force oracles.
 
 The graphs are randomly labelled, unlike the canonically labelled corpus
-graphs the other oracle tests see: each is a random tree on 5-7 vertices
-plus up to three chords, with its vertices shuffled.
+graphs the other oracle tests see: each is a random tree (on 5-7 vertices,
+or 4-6 for the proper-search scan) plus up to three chords, with its
+vertices shuffled.
 """
 
 import itertools
 import random
 
 from symbreak.graph_core import from_edge_list
-from symbreak.invariants import INVARIANT_FUNCTIONS
-from symbreak.symmetry import automorphism_group, is_isomorphic
+from symbreak.invariants import INVARIANT_FUNCTIONS, _KINDS, _search_palette
+from symbreak.symmetry import _select_prune_perms, automorphism_group, is_isomorphic
+from symbreak.transforms import line_graph, middle_graph
 
-from oracles import backtrack_automorphisms, brute_is_isomorphic, naive_invariant
+from oracles import (
+    backtrack_automorphisms,
+    brute_is_isomorphic,
+    least_valid_vector,
+    naive_invariant,
+)
 
 
 def _random_graph(rng: random.Random, n: int):
@@ -65,3 +72,35 @@ def test_invariants_match_naive_oracle():
             assert fn(G).value == naive_invariant(G, kind, autos), (kind, G.edges)
             compared += 1
     assert compared >= 150
+
+
+def test_proper_searches_return_the_least_valid_vector():
+    # Random connected graphs of order 4-6 with their line and middle graphs,
+    # for the three proper kinds, at every palette up to the value: the search
+    # (conflict look-ahead, orbit prune) must return the brute-force scan's
+    # vector, or None where there is none.  At most 9 positions, so the scan
+    # checks at most Bell(9) = 21,147 vectors per palette.
+    rng = random.Random(8)
+    compared = empty = 0
+    for _ in range(25):
+        G = _random_graph(rng, rng.choice((4, 5, 6)))
+        for H in (G, line_graph(G), middle_graph(G)):
+            autos = backtrack_automorphisms(H)
+            for kind in ("chi", "chiD", "chiDp"):
+                spec = _KINDS[kind]
+                npos = spec.positions(H)
+                if npos > 9:
+                    continue
+                prior = [[] for _ in range(npos)]
+                for a, b in spec.conflicts(H):
+                    prior[b].append(a)
+                nonid = () if spec.group is None else spec.group(H, automorphism_group(H))
+                prune = _select_prune_perms(nonid)
+                for r in range(1, INVARIANT_FUNCTIONS[kind](H).value + 1):
+                    want = least_valid_vector(H, kind, r, autos)
+                    assert _search_palette(npos, prior, nonid, prune, r) == want, (
+                        kind, H.edges, r,
+                    )
+                    compared += 1
+                    empty += want is None
+    assert compared >= 300 and empty >= 100

@@ -11,10 +11,11 @@ All six share one shape: the least palette for a coloring of some positions
 (vertices, edges, or both) that is optionally proper and that only the
 identity preserves.  One table, ``_KINDS``, gives each kind its position
 count, whether an edge is required, its conflict pairs (the properness
-constraints), its certified lower bound, its position group (none for chi)
-and its witness builder; one driver, ``_invariant``, checks the input, looks
-up the memo of certified values and runs the search.  The six public
-functions are one-line wrappers around it.
+constraints), its certified lower bound, the action of Aut(G) on its
+positions with a leaf decider (neither for chi) and its witness builder;
+one driver, ``_invariant``, checks the input, looks up the memo of
+certified values and runs the search.  The six public functions are
+one-line wrappers around it.
 
 One backtracking engine serves all six.  Color vectors are enumerated in
 position order with a first-fit palette restriction, properness enforced by
@@ -25,10 +26,11 @@ soon as some group element provably maps the finished vector to a
 lexicographically smaller one.  Both cuts remove only subtrees without a valid leaf, and
 validity (proper / distinguishing) is constant on orbits, so the first
 accepted leaf is the lexicographically least valid vector, and exhausting
-the tree certifies that no valid vector exists at that palette size.  The
-prune uses at most 6,000 group elements, those of least support; D and chiD
-on a larger group never list it, and decide a leaf that none of those
-elements preserves by a search for an automorphism preserving it.
+the tree certifies that no valid vector exists at that palette size.  A
+group of more than 6,000 elements is never listed: the search prunes with
+its 6,000 elements of least support and decides a leaf that none of them
+preserves by a search for an automorphism preserving it, on G for vertex
+colorings and on S(G) for edge and total ones (Theorem 3.3's view).
 """
 
 from __future__ import annotations
@@ -46,18 +48,16 @@ from .errors import (
 )
 from .graph_core import Graph, incident_edge_pairs, is_connected, to_graph6
 from .symmetry import (
-    AutGroup,
     Permutation,
     _has_nontrivial_automorphism,
-    _select_prune_perms,
     _small_group,
     _smallest_support_automorphisms,
     _subdivision_lifts,
     automorphism_group,
-    identity_permutation,
     preserves,
     vertex_cap,
 )
+from .transforms import subdivision_graph
 
 DEFAULT_CERTIFY_CAP = 30
 _WITNESS_ONLY_NODE_BUDGET = 200_000
@@ -155,39 +155,38 @@ class _BudgetExceeded(Exception):
 
 def _search_palette(
     npos: int,
-    prior_conflicts: Sequence[Sequence[int]],
-    nonid: Sequence[Permutation],
-    prune: Sequence[Permutation],
+    later: Sequence[Sequence[int]],
+    perms: Sequence[Permutation],
     r: int,
     node_budget: Optional[int] = None,
     nontrivial: Optional[Callable[[list[int]], bool]] = None,
 ) -> Optional[tuple[int, ...]]:
     """First-fit lexicographic DFS for a valid coloring with <= r colors:
-    no conflict pair monochromatic, and no element of ``nonid`` preserving it.
-    When ``nonid`` is only part of the group, ``nontrivial(colors)`` decides
-    whether the rest of the group has an element preserving a leaf that no
-    element of ``nonid`` preserves.
+    no conflict pair monochromatic, and no element of ``perms`` preserving it.
+    ``perms`` also drives the orbit prune.  When it is only part of the
+    group, ``nontrivial(colors)`` decides whether the rest of the group has
+    an element preserving a leaf that no element of ``perms`` preserves.
 
-    ``prior_conflicts[k]`` lists the conflict partners of position k that
-    come before it.  Coloring k adds its color to the used-color sets of its
-    later partners (forward checking, Haralick & Elliott, AIJ 1980); a color
-    is blocked at k when a partner already holds it, and a branch that leaves
-    a later position with no free color is cut before the orbit prune runs.
-    Kinds without conflict pairs do no such bookkeeping.
+    ``later[k]`` lists the conflict partners of position k that come after
+    it.  Coloring k adds its color to their used-color sets (forward
+    checking, Haralick & Elliott, AIJ 1980); a color is blocked at k when a
+    partner already holds it, and a branch that leaves a later position with
+    no free color is cut before the orbit prune runs.  Kinds without
+    conflict pairs do no such bookkeeping.
 
     Returns the lexicographically least valid color vector, or None when the
     (soundly pruned) tree is exhausted without finding one.
     """
     colors = [0] * npos
-    tptr = [0] * len(prune)
+    tptr = [0] * len(perms)
     # buckets[k]: the prune permutations whose next comparison waits on
     # position k.  A wake at position k reads buckets[k] and appends only to
     # later buckets, and deeper wakes are undone first, so each permutation
     # it moved is still last in its new bucket when it is undone.
     buckets: list[list[int]] = [[] for _ in range(npos)]
-    for qi, q in enumerate(prune):
+    for qi, q in enumerate(perms):
         buckets[q[0]].append(qi)
-    stab_order = list(range(len(nonid)))
+    stab_order = list(range(len(perms)))
     nodes = 0
 
     def wake(k: int):
@@ -201,7 +200,7 @@ def _search_palette(
         """
         moves = []
         for qi in buckets[k]:
-            q = prune[qi]
+            q = perms[qi]
             t = tptr[qi]
             while t < npos:
                 j = q[t]
@@ -225,10 +224,10 @@ def _search_palette(
             tptr[qi] = t0
             buckets[pos].pop()
 
-    def no_preserving_nonid() -> bool:
+    def no_preserving_perm() -> bool:
         cols = colors
         for oi in range(len(stab_order)):
-            p = nonid[stab_order[oi]]
+            p = perms[stab_order[oi]]
             for i in range(npos):
                 if cols[p[i]] != cols[i]:
                     break
@@ -242,10 +241,6 @@ def _search_palette(
     # partner of j holds color c; j has no color left when used[j] == full.
     # Coloring k records in ``changed`` the partners whose bit it set, so
     # clearing those bits undoes it exactly (deeper levels never touch them).
-    later: list[list[int]] = [[] for _ in range(npos)]
-    for b, confl in enumerate(prior_conflicts):
-        for a in confl:
-            later[a].append(b)
     used = [0] * npos
     full = (1 << (r + 1)) - 2
 
@@ -281,7 +276,7 @@ def _search_palette(
             pruned, moves = wake(k)
             if not pruned:  # a vector found ends the search: nothing is undone
                 if last:
-                    if no_preserving_nonid():
+                    if no_preserving_perm():
                         return tuple(colors)
                 else:
                     found = rec(k + 1, v if v > maxc else maxc)
@@ -302,7 +297,7 @@ def _minimize(
     kind: str,
     npos: int,
     conflict_pairs: Sequence[tuple[int, int]],
-    nonid: Sequence[Permutation],
+    perms: Sequence[Permutation],
     nontrivial: Optional[Callable[[list[int]], bool]],
     lower: int,
     witness_only: bool,
@@ -314,15 +309,14 @@ def _minimize(
             f"{kind}: {npos} positions exceeds the exhaustive-certification cap {cap} "
             "(set SYMBREAK_MAX_VERTICES or use witness_only)"
         )
-    prior: list[list[int]] = [[] for _ in range(npos)]
+    later: list[list[int]] = [[] for _ in range(npos)]
     for a, b in conflict_pairs:  # a < b, as in G.edges and incident_edge_pairs
-        prior[b].append(a)
-    prune = _select_prune_perms(nonid)
+        later[a].append(b)
     budget = _WITNESS_ONLY_NODE_BUDGET if witness_only else None
     certified = not witness_only
     for r in range(max(1, lower), npos + 1):
         try:
-            vec = _search_palette(npos, prior, nonid, prune, r, budget, nontrivial)
+            vec = _search_palette(npos, later, perms, r, budget, nontrivial)
         except _BudgetExceeded:
             certified = False
             continue
@@ -330,35 +324,47 @@ def _minimize(
             return r, vec, certified
     # Only reached when the node budget ran out at every palette (an
     # exhaustive search always succeeds at npos).  All-distinct colors are
-    # proper, and distinguishing because every position group acts faithfully.
+    # proper, and distinguishing because every group action is faithful.
     return npos, tuple(range(1, npos + 1)), False
 
 
 # ---------------------------------------------------------------------------
-# Group actions as position permutations
+# Group actions on positions, and leaf deciders for groups too large to list
 # ---------------------------------------------------------------------------
 
-def _vertex_position_group(G: Graph, aut: AutGroup) -> Sequence[Permutation]:
-    return aut.nonidentity()
+def _vertex_action(G: Graph, perms: Sequence[Permutation]) -> Sequence[Permutation]:
+    return perms
 
 
-def _edge_position_group(G: Graph, aut: AutGroup) -> list[Permutation]:
+def _edge_action(G: Graph, perms: Sequence[Permutation]) -> list[Permutation]:
+    # Of the connected graphs only K2 has a nontrivial automorphism fixing
+    # every edge, so only there is the action not faithful.
     n = G.n
-    ident = identity_permutation(G.num_edges)
-    out = []
-    for lifted in _subdivision_lifts(G, aut.nonidentity()):
-        act = tuple(k - n for k in lifted[n:])
-        if act == ident:
-            raise DegenerateCaseError(
-                "no distinguishing edge coloring exists: a nontrivial automorphism "
-                "fixes every edge (single-edge degeneracy)"
-            )
-        out.append(act)
-    return out
+    if n == 2:
+        raise DegenerateCaseError(
+            "no distinguishing edge coloring exists: a nontrivial automorphism "
+            "fixes every edge (single-edge degeneracy)"
+        )
+    return [tuple(k - n for k in lifted[n:]) for lifted in _subdivision_lifts(G, perms)]
 
 
-def _total_position_group(G: Graph, aut: AutGroup) -> list[Permutation]:
-    return _subdivision_lifts(G, aut.nonidentity())
+def _vertex_decider(G: Graph) -> Callable[[list[int]], bool]:
+    return partial(_has_nontrivial_automorphism, G)
+
+
+# Theorem 3.3's view: an edge or total coloring of G is a vertex coloring of
+# S(G) whose original vertices (color 0, or the vertex colors) and edge
+# vertices (the edge colors, negated for a total coloring) never share a
+# color, so the automorphisms of S(G) that keep it are those of G lifted.
+
+def _edge_decider(G: Graph) -> Callable[[list[int]], bool]:
+    S, head = subdivision_graph(G), [0] * G.n
+    return lambda colors: _has_nontrivial_automorphism(S, head + colors)
+
+
+def _total_decider(G: Graph) -> Callable[[list[int]], bool]:
+    S, n = subdivision_graph(G), G.n
+    return lambda colors: _has_nontrivial_automorphism(S, colors[:n] + [-c for c in colors[n:]])
 
 
 # ---------------------------------------------------------------------------
@@ -387,41 +393,46 @@ def _total_witness(G: Graph, vec: tuple[int, ...], r: int) -> TotalColoring:
 class _Kind(NamedTuple):
     """One invariant: the least palette r admitting a coloring of the
     positions that gives no conflict pair one color (properness) and, when a
-    position group is given, is preserved by none of its non-identity elements."""
+    group action is given, is preserved by no non-identity automorphism."""
 
     name: str  # the public function, for error messages
     positions: Callable[[Graph], int]
     needs_edge: bool
     conflicts: Callable[[Graph], Sequence[tuple[int, int]]]
     lower: Callable[..., int]  # (G, npos, pairs, witness_only, max_positions)
-    group: Optional[Callable[[Graph, AutGroup], Sequence[Permutation]]]
+    # (G, automorphisms of G) -> the same elements as position permutations
+    group: Optional[Callable[[Graph, Sequence[Permutation]], Sequence[Permutation]]]
+    # G -> does a non-identity automorphism keep these position colors?
+    decider: Optional[Callable[[Graph], Callable[[list[int]], bool]]]
     witness: Callable[[Graph, tuple[int, ...], int], object]  # (G, vec, palette)
 
 
 _KINDS: dict[str, _Kind] = {
     "chi": _Kind(
         "chromatic_number", lambda G: G.n, False, lambda G: G.edges, _clique_bound,
-        None, lambda G, vec, r: VertexColoring(vec, r),
+        None, None, lambda G, vec, r: VertexColoring(vec, r),
     ),
     "D": _Kind(
         "distinguishing_number", lambda G: G.n, False, lambda G: (), _no_bound,
-        _vertex_position_group, lambda G, vec, r: VertexColoring(vec, r),
+        _vertex_action, _vertex_decider, lambda G, vec, r: VertexColoring(vec, r),
     ),
     "chiD": _Kind(
         "distinguishing_chromatic_number", lambda G: G.n, False, lambda G: G.edges,
-        _chromatic_bound, _vertex_position_group, lambda G, vec, r: VertexColoring(vec, r),
+        _chromatic_bound, _vertex_action, _vertex_decider,
+        lambda G, vec, r: VertexColoring(vec, r),
     ),
     "Dp": _Kind(
         "distinguishing_index", lambda G: G.num_edges, True, lambda G: (), _no_bound,
-        _edge_position_group, lambda G, vec, r: EdgeColoring(G.edges, vec, r),
+        _edge_action, _edge_decider, lambda G, vec, r: EdgeColoring(G.edges, vec, r),
     ),
     "chiDp": _Kind(
         "distinguishing_chromatic_index", lambda G: G.num_edges, True, incident_edge_pairs,
-        _clique_bound, _edge_position_group, lambda G, vec, r: EdgeColoring(G.edges, vec, r),
+        _clique_bound, _edge_action, _edge_decider,
+        lambda G, vec, r: EdgeColoring(G.edges, vec, r),
     ),
     "Dpp": _Kind(
         "total_distinguishing_number", lambda G: G.n + G.num_edges, True, lambda G: (),
-        _no_bound, _total_position_group, _total_witness,
+        _no_bound, _subdivision_lifts, _total_decider, _total_witness,
     ),
 }
 
@@ -449,16 +460,16 @@ def _invariant(
     lower = spec.lower(G, npos, pairs, witness_only, max_positions)
     nontrivial = None
     if spec.group is None:
-        nonid = ()
-    elif spec.group is _vertex_position_group and _small_group(G) is None:
+        perms = ()
+    elif _small_group(G) is not None:
+        perms = spec.group(G, automorphism_group(G).nonidentity())
+    else:
         # A large group is never listed: the search prunes with its elements
         # of least support and decides by search each leaf none of them keeps.
-        nonid = _smallest_support_automorphisms(G)
-        nontrivial = partial(_has_nontrivial_automorphism, G)
-    else:
-        nonid = spec.group(G, automorphism_group(G))
+        perms = spec.group(G, _smallest_support_automorphisms(G))
+        nontrivial = spec.decider(G)
     value, vec, certified = _minimize(
-        kind=kind, npos=npos, conflict_pairs=pairs, nonid=nonid, nontrivial=nontrivial,
+        kind=kind, npos=npos, conflict_pairs=pairs, perms=perms, nontrivial=nontrivial,
         lower=lower, witness_only=witness_only, max_positions=max_positions,
     )
     out = InvariantValue(kind, value, spec.witness(G, vec, value), certified)

@@ -3,10 +3,10 @@
 Groups of at most _PRUNE_GROUP_CAP elements are listed in full, so
 stabilizers and distinguishing checks reduce to plain filters over the
 element list; automorphism_group lists a larger group too when asked.  The
-vertex-coloring searches (D and chiD) never list a larger group: they take
-its elements of least support from a search that cuts every branch moving
-too many vertices, and decide a coloring none of those preserves by a search
-whose refinement starts from the coloring.  Every search backtracks over an
+invariant searches never list a larger group: they take its elements of
+least support from a search that cuts every branch moving too many
+vertices, and decide a coloring none of those preserves by a search whose
+refinement starts from the coloring.  Every search backtracks over an
 iterated degree/neighborhood refinement of the vertex set and validates
 adjacency incrementally, so leaves of the search tree are exactly the
 automorphisms.  It places the vertices of singleton cells first, then always
@@ -154,8 +154,8 @@ def _adjacency_masks(G: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 # Groups of at most this many elements are listed in full.  Past it the
-# vertex-coloring searches (D and chiD) never list the group: they prune with
-# this many of its elements of least support and decide the rest by search.
+# invariant searches never list the group: they prune with this many of its
+# elements of least support and decide the rest by search.
 _PRUNE_GROUP_CAP = 6000
 
 
@@ -217,22 +217,26 @@ def _enumerate_automorphisms(
     return AutGroup(n=n, elements=tuple(found))
 
 
-def _smallest_support_automorphisms(G: Graph) -> list[Permutation]:
+def _smallest_support_automorphisms(G: Graph) -> tuple[Permutation, ...]:
     """The _PRUNE_GROUP_CAP non-identity automorphisms of least support (all
     of them, if there are fewer), ordered by support, then in the documented
-    element order.  On a group past the cap this is what _select_prune_perms
-    keeps of the listed group.  One search per support size, each cutting
-    every branch that moves more vertices."""
-    n = G.n
-    s = _search_setup(G, [0] * n)
+    element order: a stable sort of the listed group by support, cut at the
+    cap.  Cached per graph and cap."""
+    return _least_support(G, _PRUNE_GROUP_CAP)
+
+
+@lru_cache(maxsize=32)
+def _least_support(G: Graph, cap: int) -> tuple[Permutation, ...]:
+    # One search per support size, each cutting every branch that moves
+    # more vertices.  No automorphism moves exactly one vertex.
+    s = _search_setup(G, [0] * G.n)
     key = _element_key(s.cell_order)
     out: list[Permutation] = []
-    # No automorphism moves exactly one vertex.
-    for support in range(2, n + 1):
-        if len(out) >= _PRUNE_GROUP_CAP:
+    for support in range(2, G.n + 1):
+        if len(out) >= cap:
             break
         out.extend(sorted(_automorphisms(s, support, support, math.inf), key=key))
-    return out[:_PRUNE_GROUP_CAP]
+    return tuple(out[:cap])
 
 
 def _has_nontrivial_automorphism(G: Graph, colors: Sequence[int]) -> bool:
@@ -240,23 +244,6 @@ def _has_nontrivial_automorphism(G: Graph, colors: Sequence[int]) -> bool:
     The refinement starts from the colors, and the search stops at the first
     such automorphism."""
     return _automorphisms(_search_setup(G, list(colors)), 1, G.n, 0) is None
-
-
-def _select_prune_perms(nonid: Sequence[Permutation]) -> list[Permutation]:
-    """Subset of group elements used for orbit pruning.
-
-    Pruning is sound with any subset; using everything is best but large
-    groups would dominate per-node cost, so beyond the cap we keep the
-    elements of smallest support (they do most of the cutting).  The sort is
-    stable, so ties keep enumeration order and the selection is deterministic.
-    """
-    if len(nonid) <= _PRUNE_GROUP_CAP:
-        return list(nonid)
-    return sorted(nonid, key=_support)[:_PRUNE_GROUP_CAP]
-
-
-def _support(p: Permutation) -> int:
-    return sum(pi != i for i, pi in enumerate(p))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from symbreak.invariants import (
     _KINDS,
     _search_palette,
 )
-from symbreak.symmetry import _select_prune_perms, automorphism_group, permute_graph
+from symbreak.symmetry import automorphism_group, permute_graph
 from symbreak.transforms import endline_graph, middle_graph, subdivision_graph
 
 from oracles import brute_automorphisms, naive_invariant
@@ -317,6 +317,32 @@ def test_large_group_is_never_listed(monkeypatch):
     assert iv.witness.colors == (1, 1, 1, 1, 2, 2, 2, 3, 3, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3)
 
 
+def test_edge_and_total_kinds_never_list_a_large_group(monkeypatch):
+    # K1,8 has 40,320 automorphisms; Dp, chiDp and Dpp must not list more than
+    # 6,001 of them, and keep the witnesses they had when they listed all.
+    real = symmetry._enumerate_automorphisms
+
+    def at_most_6001(G, max_vertices, max_order):
+        assert max_order <= 6000, "asked to list more than 6,001 elements"
+        return real(G, max_vertices, max_order)
+
+    monkeypatch.setattr(symmetry, "_enumerate_automorphisms", at_most_6001)
+    symmetry._cached_group.cache_clear()
+    clear_invariant_cache()
+    G = star_graph(8)
+    distinct = tuple(range(1, 9))
+    for fn, value, edge_colors in (
+        (distinguishing_index, 8, distinct),
+        (distinguishing_chromatic_index, 8, distinct),
+        (total_distinguishing_number, 3, (1, 2, 3, 1, 2, 3, 1, 2)),
+    ):
+        iv = fn(G)
+        assert (iv.value, iv.certified) == (value, True)
+        edge_part = iv.witness.edge_part if fn is total_distinguishing_number else iv.witness
+        assert edge_part.colors == edge_colors
+    assert iv.witness.vertex_part.colors == (1, 1, 1, 1, 2, 2, 2, 3, 3)
+
+
 def test_star_beyond_the_order_cap_is_answered():
     # K1,11 has 39,916,800 automorphisms, past the 10,000,000 order cap that
     # used to refuse it; every leaf needs its own color.
@@ -344,14 +370,21 @@ def test_orbit_prune_keeps_every_palette_answer():
                 npos = spec.positions(H)
                 if npos > 16:
                     continue
-                prior = [[] for _ in range(npos)]
+                later = [[] for _ in range(npos)]
                 for a, b in spec.conflicts(H):
-                    prior[b].append(a)
-                nonid = () if spec.group is None else spec.group(H, automorphism_group(H))
+                    later[a].append(b)
+                nonid = () if spec.group is None else spec.group(
+                    H, automorphism_group(H).nonidentity()
+                )
+
+                def preserved(cols):
+                    return any(all(cols[p[i]] == cols[i] for i in range(npos)) for p in nonid)
+
                 value = INVARIANT_FUNCTIONS[kind](H).value
                 for r in range(1, value + 1):
-                    pruned = _search_palette(npos, prior, nonid, nonid, r)
-                    assert pruned == _search_palette(npos, prior, nonid, (), r), (kind, H.edges, r)
+                    pruned = _search_palette(npos, later, nonid, r)
+                    unpruned = _search_palette(npos, later, (), r, nontrivial=preserved)
+                    assert pruned == unpruned, (kind, H.edges, r)
                 assert pruned is not None
                 checked += bool(nonid)
     assert checked > 200
@@ -364,11 +397,11 @@ def test_look_ahead_keeps_a_tight_palette_within_budget():
     H = middle_graph(parse_graph6("F@_iw"))
     spec = _KINDS["chiDp"]
     npos = spec.positions(H)
-    prior = [[] for _ in range(npos)]
+    later = [[] for _ in range(npos)]
     for a, b in spec.conflicts(H):
-        prior[b].append(a)
-    nonid = spec.group(H, automorphism_group(H))
-    vec = _search_palette(npos, prior, nonid, _select_prune_perms(nonid), 7, node_budget=200_000)
+        later[a].append(b)
+    nonid = spec.group(H, automorphism_group(H).nonidentity())
+    vec = _search_palette(npos, later, nonid, 7, node_budget=200_000)
     assert vec == (
         1, 1, 1, 2, 2, 1, 2, 1, 3, 1, 2, 3, 3, 4, 2,
         5, 3, 4, 5, 6, 2, 4, 3, 6, 7, 7, 6, 5, 4, 1,

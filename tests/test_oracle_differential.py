@@ -11,7 +11,7 @@ import random
 
 from symbreak.graph_core import from_edge_list
 from symbreak.invariants import INVARIANT_FUNCTIONS, _KINDS, _search_palette
-from symbreak.symmetry import _select_prune_perms, automorphism_group, is_isomorphic
+from symbreak.symmetry import automorphism_group, is_isomorphic
 from symbreak.transforms import line_graph, middle_graph
 
 from oracles import (
@@ -91,14 +91,15 @@ def test_proper_searches_return_the_least_valid_vector():
                 npos = spec.positions(H)
                 if npos > 9:
                     continue
-                prior = [[] for _ in range(npos)]
+                later = [[] for _ in range(npos)]
                 for a, b in spec.conflicts(H):
-                    prior[b].append(a)
-                nonid = () if spec.group is None else spec.group(H, automorphism_group(H))
-                prune = _select_prune_perms(nonid)
+                    later[a].append(b)
+                nonid = () if spec.group is None else spec.group(
+                    H, automorphism_group(H).nonidentity()
+                )
                 for r in range(1, INVARIANT_FUNCTIONS[kind](H).value + 1):
                     want = least_valid_vector(H, kind, r, autos)
-                    assert _search_palette(npos, prior, nonid, prune, r) == want, (
+                    assert _search_palette(npos, later, nonid, r) == want, (
                         kind, H.edges, r,
                     )
                     compared += 1

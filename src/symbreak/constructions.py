@@ -57,7 +57,11 @@ def exception_name(G: Graph) -> str | None:
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """A constructed coloring together with its runtime certification."""
+    """A constructed coloring together with its runtime certification.
+
+    ``certified`` holds when the checks confirm what the construction
+    claims: distinguishing always, proper unless ``claims_proper`` is False.
+    """
 
     graph: Graph
     coloring: object
@@ -65,13 +69,16 @@ class ConstructionResult:
     proper: bool
     distinguishing: bool
     used_fallback: bool = False
+    claims_proper: bool = True
 
     @property
     def certified(self) -> bool:
-        return self.proper and self.distinguishing
+        return self.distinguishing and (self.proper or not self.claims_proper)
 
 
-def _certify(H: Graph, coloring, used_fallback: bool = False) -> ConstructionResult:
+def _certify(
+    H: Graph, coloring, used_fallback: bool = False, claims_proper: bool = True
+) -> ConstructionResult:
     """Re-check a constructed coloring of H with the generic checkers."""
     return ConstructionResult(
         graph=H,
@@ -80,6 +87,7 @@ def _certify(H: Graph, coloring, used_fallback: bool = False) -> ConstructionRes
         proper=is_proper(H, coloring),
         distinguishing=is_distinguishing(H, coloring),
         used_fallback=used_fallback,
+        claims_proper=claims_proper,
     )
 
 
@@ -166,14 +174,15 @@ def lift_total_to_subdivision(G: Graph, f: TotalColoring) -> VertexColoring:
 def subdivision_lift_coloring(G: Graph) -> ConstructionResult:
     """Distinguishing vertex coloring of S(G) with D''(G) colors: the lift of
     a minimal total distinguishing coloring of G.  Properness is reported,
-    not claimed.  Cycles are refused: S(Cn) = C2n has rotations that are
-    not lifts of automorphisms of Cn, so the lift need not be distinguishing
-    (it is not on C3, C4 and C5)."""
+    not claimed, so ``certified`` needs only the distinguishing check.
+    Cycles are refused: S(Cn) = C2n has rotations that are not lifts of
+    automorphisms of Cn, so the lift need not be distinguishing (it is not
+    on C3, C4 and C5)."""
     if is_cycle_graph(G):
         raise ContractError("subdivision_lift_coloring does not apply to cycles")
     total = total_distinguishing_number(G)
     S = subdivision_graph(G)
-    return _certify(S, lift_total_to_subdivision(G, total.witness))
+    return _certify(S, lift_total_to_subdivision(G, total.witness), claims_proper=False)
 
 
 def restrict_subdivision_to_total(G: Graph, f: VertexColoring) -> TotalColoring:

@@ -23,14 +23,18 @@ forward checking (each position keeps the set of colors its colored
 conflict partners hold, and a prefix is cut as soon as some later position
 has none of the r colors left), and a sound orbit prune: a prefix is cut as
 soon as some group element provably maps the finished vector to a
-lexicographically smaller one.  Both cuts remove only subtrees without a valid leaf, and
-validity (proper / distinguishing) is constant on orbits, so the first
-accepted leaf is the lexicographically least valid vector, and exhausting
-the tree certifies that no valid vector exists at that palette size.  A
-group of more than 6,000 elements is never listed: the search prunes with
-its 6,000 elements of least support and decides a leaf that none of them
-preserves by a search for an automorphism preserving it, on G for vertex
-colorings and on S(G) for edge and total ones (Theorem 3.3's view).
+lexicographically smaller one.  The orbit prune uses only the 64 group
+elements of least support: any subset of the group keeps it sound, and
+these few make nearly all of its cuts.  Both cuts remove only subtrees
+without a valid leaf, and validity (proper / distinguishing) is constant on
+orbits, so the first accepted leaf is the lexicographically least valid
+vector, and exhausting the tree certifies that no valid vector exists at
+that palette size.  A leaf is checked against the whole group when it has
+at most 6,000 elements.  A larger group is never listed: a leaf is checked
+against its 6,000 elements of least support, and one that none of them
+preserves is decided by a search for an automorphism preserving it, on G
+for vertex colorings and on S(G) for edge and total ones (Theorem 3.3's
+view).
 """
 
 from __future__ import annotations
@@ -46,11 +50,12 @@ from .errors import (
     MalformedInputError,
     ResourceCapError,
 )
+from . import symmetry
 from .graph_core import Graph, incident_edge_pairs, is_connected, to_graph6
 from .symmetry import (
+    _PRUNE_SET_SIZE,
     Permutation,
     _has_nontrivial_automorphism,
-    _small_group,
     _smallest_support_automorphisms,
     _subdivision_lifts,
     automorphism_group,
@@ -163,9 +168,10 @@ def _search_palette(
 ) -> Optional[tuple[int, ...]]:
     """First-fit lexicographic DFS for a valid coloring with <= r colors:
     no conflict pair monochromatic, and no element of ``perms`` preserving it.
-    ``perms`` also drives the orbit prune.  When it is only part of the
-    group, ``nontrivial(colors)`` decides whether the rest of the group has
-    an element preserving a leaf that no element of ``perms`` preserves.
+    Its first _PRUNE_SET_SIZE elements also drive the orbit prune.  When
+    ``perms`` is only part of the group, ``nontrivial(colors)`` decides
+    whether the rest of the group has an element preserving a leaf that no
+    element of ``perms`` preserves.
 
     ``later[k]`` lists the conflict partners of position k that come after
     it.  Coloring k adds its color to their used-color sets (forward
@@ -178,13 +184,14 @@ def _search_palette(
     (soundly pruned) tree is exhausted without finding one.
     """
     colors = [0] * npos
-    tptr = [0] * len(perms)
+    prune = perms[:_PRUNE_SET_SIZE]
+    tptr = [0] * len(prune)
     # buckets[k]: the prune permutations whose next comparison waits on
     # position k.  A wake at position k reads buckets[k] and appends only to
     # later buckets, and deeper wakes are undone first, so each permutation
     # it moved is still last in its new bucket when it is undone.
     buckets: list[list[int]] = [[] for _ in range(npos)]
-    for qi, q in enumerate(perms):
+    for qi, q in enumerate(prune):
         buckets[q[0]].append(qi)
     stab_order = list(range(len(perms)))
     nodes = 0
@@ -200,7 +207,7 @@ def _search_palette(
         """
         moves = []
         for qi in buckets[k]:
-            q = perms[qi]
+            q = prune[qi]
             t = tptr[qi]
             while t < npos:
                 j = q[t]
@@ -458,16 +465,14 @@ def _invariant(
     npos = spec.positions(G)
     pairs = spec.conflicts(G)
     lower = spec.lower(G, npos, pairs, witness_only, max_positions)
-    nontrivial = None
     if spec.group is None:
-        perms = ()
-    elif _small_group(G) is not None:
-        perms = spec.group(G, automorphism_group(G).nonidentity())
+        perms, nontrivial = (), None
     else:
-        # A large group is never listed: the search prunes with its elements
-        # of least support and decides by search each leaf none of them keeps.
-        perms = spec.group(G, _smallest_support_automorphisms(G))
-        nontrivial = spec.decider(G)
+        elements = _smallest_support_automorphisms(G)
+        perms = spec.group(G, elements)
+        # The list is cut at the cap only when the group is too large to
+        # list; a leaf that none of its elements keeps is then decided by search.
+        nontrivial = spec.decider(G) if len(elements) >= symmetry._PRUNE_GROUP_CAP else None
     value, vec, certified = _minimize(
         kind=kind, npos=npos, conflict_pairs=pairs, perms=perms, nontrivial=nontrivial,
         lower=lower, witness_only=witness_only, max_positions=max_positions,

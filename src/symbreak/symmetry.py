@@ -3,9 +3,12 @@
 Groups of at most _PRUNE_GROUP_CAP elements are listed in full, so
 stabilizers and distinguishing checks reduce to plain filters over the
 element list; automorphism_group lists a larger group too when asked.  The
-invariant searches never list a larger group: they take its elements of
-least support from a search that cuts every branch moving too many
-vertices, and decide a coloring none of those preserves by a search whose
+invariant searches take the non-identity elements in least-support order
+(_smallest_support_automorphisms), and their orbit prune only the first
+_PRUNE_SET_SIZE of them.  A listed group is sorted by support; a larger
+group is never listed, and its _PRUNE_GROUP_CAP elements of least support
+come from a search that cuts every branch moving too many vertices.  A
+coloring none of those preserves is then decided by a search whose
 refinement starts from the coloring.  Every search backtracks over an
 iterated degree/neighborhood refinement of the vertex set and validates
 adjacency incrementally, so leaves of the search tree are exactly the
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .colorings import EdgeColoring, TotalColoring, VertexColoring
@@ -112,6 +115,14 @@ class AutGroup:
         ident = identity_permutation(self.n)
         return tuple(p for p in self.elements if p != ident)
 
+    @cached_property
+    def by_support(self) -> tuple[Permutation, ...]:
+        """The non-identity elements sorted stably by support (the number of
+        vertices moved): ties keep the element order."""
+        return tuple(
+            sorted(self.nonidentity(), key=lambda p: sum(pi != i for i, pi in enumerate(p)))
+        )
+
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
 
@@ -154,9 +165,14 @@ def _adjacency_masks(G: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 # Groups of at most this many elements are listed in full.  Past it the
-# invariant searches never list the group: they prune with this many of its
-# elements of least support and decide the rest by search.
+# invariant searches never list the group: they check each leaf against
+# this many of its elements of least support and decide the rest by search.
 _PRUNE_GROUP_CAP = 6000
+# The orbit prune of the invariant searches scans the first this many group
+# elements at every node (a leaf is checked against all).  More cost more
+# per node than they save in nodes: the cor-3.5 star rows ran fastest with
+# 32-100 elements.
+_PRUNE_SET_SIZE = 64
 
 
 def automorphism_group(
@@ -218,10 +234,20 @@ def _enumerate_automorphisms(
 
 
 def _smallest_support_automorphisms(G: Graph) -> tuple[Permutation, ...]:
-    """The _PRUNE_GROUP_CAP non-identity automorphisms of least support (all
-    of them, if there are fewer), ordered by support, then in the documented
-    element order: a stable sort of the listed group by support, cut at the
-    cap.  Cached per graph and cap."""
+    """The non-identity automorphisms in least-support order (by support,
+    then in the documented element order) wherever that order matters to
+    the orbit prune, which takes the first _PRUNE_SET_SIZE of them.  A group
+    of at most _PRUNE_GROUP_CAP elements is listed and comes whole, sorted
+    (AutGroup.by_support) unless the prune takes all of it anyway.  Of a
+    larger group, found without listing it, come only its _PRUNE_GROUP_CAP
+    elements of least support.  So the list is the whole group exactly when
+    it is shorter than _PRUNE_GROUP_CAP.  Cached per group, and per graph
+    and cap."""
+    if _small_group(G) is not None:
+        # The same cached object, taken through the public lookup whose
+        # calls perfbench's per-layer trace counts.
+        group = automorphism_group(G)
+        return group.by_support if group.order > _PRUNE_SET_SIZE + 1 else group.nonidentity()
     return _least_support(G, _PRUNE_GROUP_CAP)
 
 

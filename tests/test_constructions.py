@@ -2,11 +2,13 @@ import pytest
 
 from symbreak.colorings import EdgeColoring, TotalColoring, VertexColoring
 from symbreak.constructions import (
+    ConstructionResult,
     endline_extension_coloring,
     exception_name,
     exceptional_endline_coloring,
     lift_total_to_subdivision,
     restrict_subdivision_to_total,
+    subdivision_lift_coloring,
     subdivision_proper_distinguishing,
 )
 from symbreak.errors import ContractError
@@ -139,6 +141,27 @@ def test_lift_of_constant_coloring_keeps_full_stabilizer():
     lifted = lift_total_to_subdivision(C3, constant)
     S = subdivision_graph(C3)  # a hexagon
     assert stabilizer(automorphism_group(S), lifted).order == 12
+
+
+@pytest.mark.parametrize(
+    "G",
+    [star_graph(4), path_graph(4), path_graph(5), complete_graph(4), complete_bipartite_graph(3, 3)],
+    ids=["K1,4", "P4", "P5", "K4", "K3,3"],
+)
+def test_lift_is_certified_without_claiming_properness(G):
+    # The D(S(G)) = D''(G) lift claims only that it distinguishes, so it is
+    # certified whether or not it happens to be proper.
+    res = subdivision_lift_coloring(G)
+    assert res.distinguishing and not res.claims_proper
+    assert res.certified
+    assert res.palette == total_distinguishing_number(G).value
+
+
+def test_construction_claiming_properness_needs_it():
+    G = path_graph(3)
+    c = VertexColoring((1, 1, 2), 2)
+    assert not ConstructionResult(G, c, 2, proper=False, distinguishing=True).certified
+    assert not ConstructionResult(G, c, 2, proper=True, distinguishing=False).certified
 
 
 def test_lift_domain_mismatch():

@@ -39,7 +39,7 @@ from symbreak.invariants import (
 from symbreak.symmetry import automorphism_group, permute_graph
 from symbreak.transforms import endline_graph, middle_graph, subdivision_graph
 
-from oracles import brute_automorphisms, naive_invariant
+from oracles import brute_automorphisms, least_valid_vector, naive_invariant
 
 
 def test_is_proper_vertex():
@@ -350,6 +350,48 @@ def test_star_beyond_the_order_cap_is_answered():
     iv = distinguishing_number(star_graph(11))
     assert (iv.value, iv.certified) == (11, True)
     assert sorted(iv.witness.colors[1:]) == list(range(1, 12))
+
+
+_PRUNE_SUBSET_GRAPHS = [
+    pytest.param(star_graph(5), id="K1,5"),
+    pytest.param(star_graph(6), id="K1,6"),
+    pytest.param(complete_graph(5), id="K5"),
+    pytest.param(complete_graph(6), id="K6"),
+    pytest.param(complete_bipartite_graph(3, 3), id="K3,3"),
+]
+
+
+@pytest.mark.parametrize("G", _PRUNE_SUBSET_GRAPHS)
+def test_prune_set_smaller_than_the_group(G):
+    # Groups of 72-720 elements: the orbit prune scans only the first
+    # _PRUNE_SET_SIZE of them, and a leaf is checked against all.
+    aut = automorphism_group(G)
+    by_support = sorted(  # stable: ties keep the documented element order
+        aut.nonidentity(), key=lambda p: sum(pi != i for i, pi in enumerate(p))
+    )
+    assert symmetry._smallest_support_automorphisms(G) == tuple(by_support)
+    assert len(by_support) > invariants._PRUNE_SET_SIZE
+    autos = [aut.elements[0], *by_support]  # small support first: the oracles reject sooner
+    compared = 0
+    for kind, spec in _KINDS.items():
+        npos = spec.positions(G)
+        if npos > 9:
+            continue
+        clear_invariant_cache()
+        value = INVARIANT_FUNCTIONS[kind](G).value
+        assert value == naive_invariant(G, kind, autos), kind
+        compared += 1
+        if kind not in ("chi", "chiD", "chiDp"):
+            continue
+        later = [[] for _ in range(npos)]
+        for a, b in spec.conflicts(G):
+            later[a].append(b)
+        perms = () if spec.group is None else spec.group(G, by_support)
+        for r in range(1, value + 1):
+            want = least_valid_vector(G, kind, r, autos)
+            assert _search_palette(npos, later, perms, r) == want, (kind, r)
+            compared += 1
+    assert compared >= 5
 
 
 def test_orbit_prune_keeps_every_palette_answer():

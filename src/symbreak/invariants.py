@@ -21,20 +21,22 @@ One backtracking engine serves all six.  Color vectors are enumerated in
 position order with a first-fit palette restriction, properness enforced by
 forward checking (each position keeps the set of colors its colored
 conflict partners hold, and a prefix is cut as soon as some later position
-has none of the r colors left), and a sound orbit prune: a prefix is cut as
+has none of the r colors left), a sound orbit prune: a prefix is cut as
 soon as some group element provably maps the finished vector to a
-lexicographically smaller one.  The orbit prune uses only the 64 group
-elements of least support: any subset of the group keeps it sound, and
-these few make nearly all of its cuts.  Both cuts remove only subtrees
-without a valid leaf, and validity (proper / distinguishing) is constant on
-orbits, so the first accepted leaf is the lexicographically least valid
-vector, and exhausting the tree certifies that no valid vector exists at
-that palette size.  A leaf is checked against the whole group when it has
-at most 6,000 elements.  A larger group is never listed: a leaf is checked
-against its 6,000 elements of least support, and one that none of them
-preserves is decided by a search for an automorphism preserving it, on G
-for vertex colorings and on S(G) for edge and total ones (Theorem 3.3's
-view).
+lexicographically smaller one, and a stabilizer cut: a prefix is cut as
+soon as some non-identity group element keeps the colors of every position
+it moves, since it then keeps every completion.  Both group cuts use only
+the 64 group elements of least support, each compared on its support
+alone: any subset of the group keeps them sound, and these few make nearly
+all of their cuts.  All three cuts remove only subtrees without a valid
+leaf, and validity (proper / distinguishing) is constant on orbits, so the
+first accepted leaf is the lexicographically least valid vector, and
+exhausting the tree certifies that no valid vector exists at that palette
+size.  A leaf is checked against the whole group when it has at most 6,000
+elements.  A larger group is never listed: a leaf is checked against its
+6,000 elements of least support, and one that none of them preserves is
+decided by a search for an automorphism preserving it, on G for vertex
+colorings and on S(G) for edge and total ones (Theorem 3.3's view).
 """
 
 from __future__ import annotations
@@ -168,7 +170,10 @@ def _search_palette(
 ) -> Optional[tuple[int, ...]]:
     """First-fit lexicographic DFS for a valid coloring with <= r colors:
     no conflict pair monochromatic, and no element of ``perms`` preserving it.
-    Its first _PRUNE_SET_SIZE elements also drive the orbit prune.  When
+    ``perms`` must not hold the identity.  Its first _PRUNE_SET_SIZE elements
+    also drive the orbit prune, each walking only its support, and the
+    stabilizer cut: a prefix is cut as soon as one of them keeps the colors
+    of its whole support, since it then keeps every completion.  When
     ``perms`` is only part of the group, ``nontrivial(colors)`` decides
     whether the rest of the group has an element preserving a leaf that no
     element of ``perms`` preserves.
@@ -185,6 +190,10 @@ def _search_palette(
     """
     colors = [0] * npos
     prune = perms[:_PRUNE_SET_SIZE]
+    # supports[qi]: the positions prune permutation qi moves, in increasing
+    # order.  Its image vector can first differ from the vector only at one
+    # of them, and tptr[qi] indexes the next one to compare.
+    supports = [[t for t, j in enumerate(q) if t != j] for q in prune]
     tptr = [0] * len(prune)
     # buckets[k]: the prune permutations whose next comparison waits on
     # position k.  A wake at position k reads buckets[k] and appends only to
@@ -192,7 +201,7 @@ def _search_palette(
     # it moved is still last in its new bucket when it is undone.
     buckets: list[list[int]] = [[] for _ in range(npos)]
     for qi, q in enumerate(prune):
-        buckets[q[0]].append(qi)
+        buckets[q[supports[qi][0]]].append(qi)  # q moves its least moved point up
     stab_order = list(range(len(perms)))
     nodes = 0
 
@@ -200,22 +209,27 @@ def _search_palette(
         """Advance every prune permutation waiting on position k.
 
         Returns (pruned, moves).  The scan stops with pruned True at the
-        first permutation that maps the prefix to a smaller vector; moves
-        holds (qi, old pointer, new bucket) for each permutation moved on.
-        One that can no longer cut (it maps the prefix to a larger vector,
-        or preserves the whole vector) stays out of the buckets until undo.
+        first permutation that either maps the prefix to a smaller vector
+        (the orbit cut) or keeps every pair of its support equal (the
+        stabilizer cut: no prune permutation is the identity, and one that
+        keeps its support keeps every completion, so none distinguishes).
+        moves holds (qi, old pointer, new bucket) for each permutation moved
+        on.  One that maps the prefix to a larger vector can no longer cut,
+        and stays out of the buckets until undo.
         """
         moves = []
         for qi in buckets[k]:
             q = prune[qi]
-            t = tptr[qi]
-            while t < npos:
+            sup = supports[qi]
+            i = tptr[qi]
+            while i < len(sup):
+                t = sup[i]
                 j = q[t]
-                if t > k or j > k:
-                    pos = t if t > j else j
-                    buckets[pos].append(qi)
-                    moves.append((qi, tptr[qi], pos))
-                    tptr[qi] = t
+                w = t if t > j else j
+                if w > k:
+                    buckets[w].append(qi)
+                    moves.append((qi, tptr[qi], w))
+                    tptr[qi] = i
                     break
                 a = colors[t]
                 b = colors[j]
@@ -223,7 +237,9 @@ def _search_palette(
                     return True, moves
                 if b > a:
                     break
-                t += 1
+                i += 1
+            else:  # its whole support is kept: the stabilizer cut
+                return True, moves
         return False, moves
 
     def undo(moves) -> None:

@@ -4,12 +4,12 @@ Groups of at most _PRUNE_GROUP_CAP elements are listed in full, so
 stabilizers and distinguishing checks reduce to plain filters over the
 element list; automorphism_group lists a larger group too when asked.  The
 invariant searches take the non-identity elements in least-support order
-(_smallest_support_automorphisms), and their orbit prune only the first
-_PRUNE_SET_SIZE of them.  A listed group is sorted by support; a larger
-group is never listed, and its _PRUNE_GROUP_CAP elements of least support
-come from a search that cuts every branch moving too many vertices.  A
-coloring none of those preserves is then decided by a search whose
-refinement starts from the coloring.  Every search backtracks over an
+(_smallest_support_automorphisms), and their orbit prune and stabilizer
+cut only the first _PRUNE_SET_SIZE of them.  A listed group is sorted by
+support; a larger group is never listed, and its _PRUNE_GROUP_CAP elements
+of least support come from a search that cuts every branch moving too many
+vertices.  A coloring none of those preserves is then decided by a search
+whose refinement starts from the coloring.  Every search backtracks over an
 iterated degree/neighborhood refinement of the vertex set and validates
 adjacency incrementally, so leaves of the search tree are exactly the
 automorphisms.  It places the vertices of singleton cells first, then always
@@ -168,10 +168,10 @@ def _adjacency_masks(G: Graph) -> list[int]:
 # invariant searches never list the group: they check each leaf against
 # this many of its elements of least support and decide the rest by search.
 _PRUNE_GROUP_CAP = 6000
-# The orbit prune of the invariant searches scans the first this many group
-# elements at every node (a leaf is checked against all).  More cost more
-# per node than they save in nodes: the cor-3.5 star rows ran fastest with
-# 32-100 elements.
+# The orbit prune and stabilizer cut of the invariant searches scan the
+# first this many group elements at every node (a leaf is checked against
+# all).  More cost more per node than they save in nodes: the cor-3.5 star
+# rows ran fastest with 32-100 elements.
 _PRUNE_SET_SIZE = 64
 
 

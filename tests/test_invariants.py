@@ -37,7 +37,7 @@ from symbreak.invariants import (
     _search_palette,
 )
 from symbreak.symmetry import automorphism_group, permute_graph
-from symbreak.transforms import endline_graph, middle_graph, subdivision_graph
+from symbreak.transforms import endline_graph, line_graph, middle_graph, subdivision_graph
 
 from oracles import brute_automorphisms, least_valid_vector, naive_invariant
 
@@ -139,6 +139,17 @@ def test_certification_cap_and_witness_only():
     assert iv.value == 2 and not iv.certified
     assert is_distinguishing(big, iv.witness)
     assert distinguishing_number(big, max_positions=40).certified
+
+
+def test_vertex_cap_applies_only_to_kinds_with_a_group():
+    # chi never asks for the automorphism group, so the 40-vertex cap of the
+    # automorphism search does not reach it; the other kinds still refuse.
+    P = path_graph(45)
+    iv = chromatic_number(P, witness_only=True)
+    assert (iv.value, iv.certified) == (2, False)
+    assert is_proper(P, iv.witness)
+    with pytest.raises(ResourceCapError):
+        distinguishing_number(P, witness_only=True)
 
 
 def test_witness_only_falls_back_when_budget_runs_out(monkeypatch):
@@ -450,3 +461,82 @@ def test_look_ahead_keeps_a_tight_palette_within_budget():
     )
     iv = distinguishing_chromatic_index(H, witness_only=True)
     assert (iv.value, iv.witness.colors, iv.certified) == (7, vec, False)
+
+
+def test_stabilizer_cut_keeps_the_edge_search_small():
+    # L(F@G^w) has 27 edges and 16 automorphisms, several of them swaps of
+    # a few twin edges.  Without the stabilizer cut the search at palette 2
+    # visits 78,381 nodes and rejects tens of thousands of leaves that such a
+    # swap keeps; with it the first distinguishing vector comes within 29.
+    H = line_graph(parse_graph6("F@G^w"))
+    spec = _KINDS["Dp"]
+    npos = spec.positions(H)
+    nonid = spec.group(H, automorphism_group(H).nonidentity())
+    vec = _search_palette(npos, [[] for _ in range(npos)], nonid, 2, node_budget=1_000)
+    assert vec == (1,) * 8 + (2,) + (1,) * 17 + (2,)
+
+
+def test_witness_only_edge_index_of_a_middle_graph(monkeypatch):
+    # M(F`G}w) has 49 edges and a group of order 4.  Without the stabilizer
+    # cut every palette ran out of its 200,000-node budget and the answer
+    # was the all-distinct 49; a palette of 2 now needs about 50 nodes.
+    monkeypatch.setattr("symbreak.invariants._WITNESS_ONLY_NODE_BUDGET", 1_000)
+    H = middle_graph(parse_graph6("F`G}w"))
+    iv = distinguishing_index(H, witness_only=True)
+    assert (iv.value, iv.certified) == (2, False)
+    assert is_distinguishing(H, iv.witness)
+
+
+def _twin_rich_graph(rng: random.Random):
+    """A random connected graph with many small-support automorphisms:
+    a tree with pendant twins, K2,m, or a star with some rays subdivided."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        n = rng.randrange(2, 5)
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+        for v in rng.sample(range(n), rng.randrange(1, min(n, 3) + 1)):
+            for _ in range(rng.randrange(2, 4)):
+                pairs.append((v, n))
+                n += 1
+        return from_edge_list(n, pairs)
+    if shape == 1:
+        return complete_bipartite_graph(2, rng.randrange(2, 6))
+    pairs, n = [], 1
+    for _ in range(rng.randrange(2, 6)):
+        prev = 0
+        for _ in range(rng.randrange(1, 3)):
+            pairs.append((prev, n))
+            prev, n = n, n + 1
+    return from_edge_list(n, pairs)
+
+
+def test_stabilizer_cut_keeps_every_palette_answer_on_twin_rich_graphs():
+    # The reference search has no prune at all: every leaf is checked
+    # against the whole group.  Inputs with more than 14 positions are
+    # skipped, since the reference then visits too many leaves.
+    rng = random.Random(12)
+    checked, kinds = 0, set()
+    for _ in range(40):
+        G = _twin_rich_graph(rng)
+        for kind, spec in _KINDS.items():
+            npos = spec.positions(G)
+            if spec.group is None or npos > 14:
+                continue
+            later = [[] for _ in range(npos)]
+            for a, b in spec.conflicts(G):
+                later[a].append(b)
+            nonid = spec.group(G, automorphism_group(G).nonidentity())
+
+            def preserved(cols):
+                return any(all(cols[p[i]] == cols[i] for i in range(npos)) for p in nonid)
+
+            clear_invariant_cache()
+            value = INVARIANT_FUNCTIONS[kind](G).value
+            for r in range(1, value + 1):
+                pruned = _search_palette(npos, later, nonid, r)
+                unpruned = _search_palette(npos, later, (), r, nontrivial=preserved)
+                assert pruned == unpruned, (kind, G.edges, r)
+            assert pruned is not None
+            checked += 1
+            kinds.add(kind)
+    assert checked > 100 and kinds == {"D", "chiD", "Dp", "chiDp", "Dpp"}

@@ -197,21 +197,17 @@ def to_graph6(G: Graph) -> str:
     """Encode a graph as one short-form graph6 line (no trailing newline)."""
     if G.n > 62:
         raise MalformedInputError(f"order {G.n} exceeds the short-form graph6 limit of 62")
-    out = [chr(63 + G.n)]
+    # Bit j(j-1)/2 + i of the upper triangle, taken column by column, is set
+    # when ij (i < j) is an edge; the bits, padded with zeros to a multiple
+    # of 6, are written 6 to a character, most significant first.
+    nbits = G.n * (G.n - 1) // 2
+    total = nbits + -nbits % 6
     acc = 0
-    nbits = 0
-    for j in range(1, G.n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if G.has_edge(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(63 + acc))
-    return "".join(out)
+    for i, j in G.edges:
+        acc |= 1 << (total - 1 - j * (j - 1) // 2 - i)
+    return chr(63 + G.n) + "".join(
+        [chr(63 + (acc >> shift & 63)) for shift in range(total - 6, -1, -6)]
+    )
 
 
 def read_graph6_file(path: str) -> list[Graph]:

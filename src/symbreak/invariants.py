@@ -11,32 +11,46 @@ All six share one shape: the least palette for a coloring of some positions
 (vertices, edges, or both) that is optionally proper and that only the
 identity preserves.  One table, ``_KINDS``, gives each kind its position
 count, whether an edge is required, its conflict pairs (the properness
-constraints), its certified lower bound, the action of Aut(G) on its
-positions with a leaf decider (neither for chi) and its witness builder;
-one driver, ``_invariant``, checks the input, looks up the memo of
-certified values and runs the search.  The six public functions are
-one-line wrappers around it.
+constraints), its certified lower bound, whether the coloring must
+distinguish (all but chi), the action of Aut(G) on its positions with a
+leaf decider (neither for chi) and its witness builder; one driver,
+``_invariant``, checks the input, looks up the memo of certified values and
+runs the search.  The six public functions are one-line wrappers around it.
 
 One backtracking engine serves all six.  Color vectors are enumerated in
-position order with a first-fit palette restriction, properness enforced by
-forward checking (each position keeps the set of colors its colored
-conflict partners hold, and a prefix is cut as soon as some later position
-has none of the r colors left), a sound orbit prune: a prefix is cut as
-soon as some group element provably maps the finished vector to a
-lexicographically smaller one, and a stabilizer cut: a prefix is cut as
-soon as some non-identity group element keeps the colors of every position
-it moves, since it then keeps every completion.  Both group cuts use only
-the 64 group elements of least support, each compared on its support
-alone: any subset of the group keeps them sound, and these few make nearly
-all of their cuts.  All three cuts remove only subtrees without a valid
-leaf, and validity (proper / distinguishing) is constant on orbits, so the
-first accepted leaf is the lexicographically least valid vector, and
-exhausting the tree certifies that no valid vector exists at that palette
-size.  A leaf is checked against the whole group when it has at most 6,000
-elements.  A larger group is never listed: a leaf is checked against its
-6,000 elements of least support, and one that none of them preserves is
-decided by a search for an automorphism preserving it, on G for vertex
-colorings and on S(G) for edge and total ones (Theorem 3.3's view).
+position order with a first-fit palette restriction, and three cuts remove
+subtrees:
+
+* forward checking with singleton propagation: each position keeps the set
+  of colors blocked at it, coloring a position blocks its color at its later
+  conflict partners, a position left with one color blocks that color at all
+  its uncolored partners (cascading), and a prefix is cut as soon as some
+  position has none of the r colors left.  Only colors that no proper
+  completion of the prefix can give a position are blocked;
+* the orbit prune: a prefix is cut as soon as some group element provably
+  maps every completion to a lexicographically smaller vector, whose
+  first-fit renumbering is a smaller vector still and valid alike;
+* the stabilizer cut, for the distinguishing kinds: a prefix is cut as soon
+  as some non-identity group element keeps the colors of every position it
+  moves, since it then keeps every completion.
+
+Both group cuts use only the 64 group elements of least support, each
+compared on its support alone: any subset of the group keeps them sound,
+and these few make nearly all of their cuts.  chi uses the orbit prune
+alone, and asks for the group only once an unpruned palette search has used
+_PRUNE_AFTER_NODES nodes (never past the automorphism caps); that palette is
+then searched again with the prune.  Validity (proper / distinguishing)
+is constant on orbits and under renaming colors.  So propagation and the
+stabilizer cut remove only subtrees without a valid leaf, and the orbit
+prune only subtrees whose valid leaves all have a smaller valid vector:
+the first accepted leaf is the lexicographically least valid vector, the
+same with or without any cut, and exhausting the tree certifies that no
+valid vector exists at that palette size.  A leaf is checked against the
+whole group when it has at most 6,000 elements.  A larger group is never
+listed: a leaf is checked against its 6,000 elements of least support, and
+one that none of them preserves is decided by a search for an automorphism
+preserving it, on G for vertex colorings and on S(G) for edge and total
+ones (Theorem 3.3's view).
 """
 
 from __future__ import annotations
@@ -68,6 +82,9 @@ from .transforms import subdivision_graph
 
 DEFAULT_CERTIFY_CAP = 30
 _WITNESS_ONLY_NODE_BUDGET = 200_000
+# A chi search asks for its prune group only after an unpruned palette search
+# has used this many nodes; most finish first-fit, well within it.
+_PRUNE_AFTER_NODES = 1_000
 
 
 @dataclass(frozen=True)
@@ -167,23 +184,33 @@ def _search_palette(
     r: int,
     node_budget: Optional[int] = None,
     nontrivial: Optional[Callable[[list[int]], bool]] = None,
+    earlier: Optional[Sequence[Sequence[int]]] = None,
+    distinguishing: bool = True,
 ) -> Optional[tuple[int, ...]]:
     """First-fit lexicographic DFS for a valid coloring with <= r colors:
-    no conflict pair monochromatic, and no element of ``perms`` preserving it.
-    ``perms`` must not hold the identity.  Its first _PRUNE_SET_SIZE elements
-    also drive the orbit prune, each walking only its support, and the
-    stabilizer cut: a prefix is cut as soon as one of them keeps the colors
-    of its whole support, since it then keeps every completion.  When
+    no conflict pair monochromatic, and, when ``distinguishing``, no element
+    of ``perms`` preserving it.  ``perms`` must not hold the identity.  Its
+    first _PRUNE_SET_SIZE elements also drive the orbit prune, each walking
+    only its support, and, when ``distinguishing``, the stabilizer cut: a
+    prefix is cut as soon as one of them keeps the colors of its whole
+    support, since it then keeps every completion.  Without
+    ``distinguishing`` (chi) such an element is set aside instead, and
+    leaves are not checked against the group: ``perms`` only prunes.  When
     ``perms`` is only part of the group, ``nontrivial(colors)`` decides
     whether the rest of the group has an element preserving a leaf that no
     element of ``perms`` preserves.
 
     ``later[k]`` lists the conflict partners of position k that come after
-    it.  Coloring k adds its color to their used-color sets (forward
-    checking, Haralick & Elliott, AIJ 1980); a color is blocked at k when a
-    partner already holds it, and a branch that leaves a later position with
-    no free color is cut before the orbit prune runs.  Kinds without
-    conflict pairs do no such bookkeeping.
+    it, and ``earlier[j]`` those that come before j, in increasing order
+    (built from ``later`` when not given).  Coloring k blocks its color at the
+    partners in ``later[k]`` (forward checking, Haralick & Elliott, AIJ
+    1980).  A position left with a single free color is a singleton: that
+    color is blocked at each of its uncolored partners, before and after it,
+    and the blocking cascades.  A branch that leaves some position with no
+    free color is cut before the orbit prune runs.  Only colors that no
+    proper completion of the prefix can give a position are blocked, so no
+    valid vector is lost.  Kinds without conflict pairs do no such
+    bookkeeping.
 
     Returns the lexicographically least valid color vector, or None when the
     (soundly pruned) tree is exhausted without finding one.
@@ -210,12 +237,13 @@ def _search_palette(
 
         Returns (pruned, moves).  The scan stops with pruned True at the
         first permutation that either maps the prefix to a smaller vector
-        (the orbit cut) or keeps every pair of its support equal (the
-        stabilizer cut: no prune permutation is the identity, and one that
-        keeps its support keeps every completion, so none distinguishes).
-        moves holds (qi, old pointer, new bucket) for each permutation moved
-        on.  One that maps the prefix to a larger vector can no longer cut,
-        and stays out of the buckets until undo.
+        (the orbit cut) or, when ``distinguishing``, keeps every pair of its
+        support equal (the stabilizer cut: no prune permutation is the
+        identity, and one that keeps its support keeps every completion, so
+        none distinguishes).  moves holds (qi, old pointer, new bucket) for
+        each permutation moved on.  One that maps the prefix to a larger
+        vector, or keeps it whole, can no longer cut, and stays out of the
+        buckets until undo.
         """
         moves = []
         for qi in buckets[k]:
@@ -238,8 +266,9 @@ def _search_palette(
                 if b > a:
                     break
                 i += 1
-            else:  # its whole support is kept: the stabilizer cut
-                return True, moves
+            else:  # its whole support is kept
+                if distinguishing:  # the stabilizer cut
+                    return True, moves
         return False, moves
 
     def undo(moves) -> None:
@@ -248,6 +277,8 @@ def _search_palette(
             buckets[pos].pop()
 
     def no_preserving_perm() -> bool:
+        if not distinguishing:
+            return True
         cols = colors
         for oi in range(len(stab_order)):
             p = perms[stab_order[oi]]
@@ -260,12 +291,49 @@ def _search_palette(
                 return False
         return nontrivial is None or not nontrivial(cols)
 
-    # Forward checking: bit c of used[j] is set when a colored conflict
-    # partner of j holds color c; j has no color left when used[j] == full.
-    # Coloring k records in ``changed`` the partners whose bit it set, so
-    # clearing those bits undoes it exactly (deeper levels never touch them).
+    # Forward checking and singleton propagation: bit c of used[j] is set
+    # when color c is blocked at j; j has no color left when used[j] == full,
+    # and one when full ^ used[j] is a single bit.  Every change to used is
+    # recorded on one trail as (position, old mask), and a node undoes it by
+    # restoring the trail back to the mark it took.
     used = [0] * npos
     full = (1 << (r + 1)) - 2
+    trail: list[tuple[int, int]] = []
+    singles: list[int] = []  # singletons whose color is not yet blocked at their partners
+    if earlier is None and any(later):
+        earlier = [[] for _ in range(npos)]
+        for a in range(npos):
+            for b in later[a]:
+                earlier[b].append(a)
+
+    def propagate(k: int) -> bool:
+        """Block the last color of every queued singleton at its uncolored
+        partners (those after k), queueing each new singleton in turn.
+        Returns True as soon as some position has no color left."""
+        while singles:
+            j = singles.pop()
+            bit = full ^ used[j]
+            for side in (later[j], reversed(earlier[j])):
+                for i in side:
+                    if i <= k:  # only in earlier[j], whose rest is colored too
+                        break
+                    m = used[i]
+                    if not m & bit:
+                        trail.append((i, m))
+                        m |= bit
+                        used[i] = m
+                        f = full ^ m
+                        if not f & (f - 1):
+                            if not f:
+                                singles.clear()
+                                return True
+                            singles.append(i)
+        return False
+
+    def restore(mark: int) -> None:
+        for _ in range(len(trail) - mark):
+            j, m = trail.pop()
+            used[j] = m
 
     def rec(k: int, maxc: int) -> Optional[tuple[int, ...]]:
         nonlocal nodes
@@ -282,19 +350,23 @@ def _search_palette(
                 raise _BudgetExceeded
             colors[k] = v
             if lk:
+                mark = len(trail)
                 wiped = False
-                changed = []
                 for j in lk:
                     m = used[j]
                     if not m & bit:
+                        trail.append((j, m))
                         m |= bit
                         used[j] = m
-                        changed.append(j)
-                        if m == full:
-                            wiped = True
-                if wiped:  # a later position has no color left
-                    for j in changed:
-                        used[j] ^= bit
+                        f = full ^ m
+                        if not f & (f - 1):  # at most one color left at j
+                            if not f:
+                                singles.clear()
+                                wiped = True
+                                break
+                            singles.append(j)
+                if wiped or (singles and propagate(k)):  # some position has no color left
+                    restore(mark)
                     continue
             pruned, moves = wake(k)
             if not pruned:  # a vector found ends the search: nothing is undone
@@ -307,8 +379,7 @@ def _search_palette(
                         return found
             undo(moves)
             if lk:
-                for j in changed:
-                    used[j] ^= bit
+                restore(mark)
         colors[k] = 0
         return None
 
@@ -322,10 +393,17 @@ def _minimize(
     conflict_pairs: Sequence[tuple[int, int]],
     perms: Sequence[Permutation],
     nontrivial: Optional[Callable[[list[int]], bool]],
+    distinguishing: bool,
+    late_perms: Optional[Callable[[], Sequence[Permutation]]],
     lower: int,
     witness_only: bool,
     max_positions: Optional[int],
 ) -> tuple[int, tuple[int, ...], bool]:
+    """The least palette with a valid vector, the vector, and whether the
+    palette is certified.  With ``late_perms`` each palette is first searched
+    without a prune; once that search has used _PRUNE_AFTER_NODES nodes,
+    ``late_perms()`` gives the prune elements and the palette starts over,
+    so an easy search never pays for a group."""
     cap = vertex_cap(max_positions, DEFAULT_CERTIFY_CAP)
     if npos > cap and not witness_only:
         raise ResourceCapError(
@@ -333,13 +411,29 @@ def _minimize(
             "(set SYMBREAK_MAX_VERTICES or use witness_only)"
         )
     later: list[list[int]] = [[] for _ in range(npos)]
-    for a, b in conflict_pairs:  # a < b, as in G.edges and incident_edge_pairs
+    earlier: list[list[int]] = [[] for _ in range(npos)]
+    for a, b in conflict_pairs:  # sorted, a < b, as G.edges and incident_edge_pairs are
         later[a].append(b)
+        earlier[b].append(a)
     budget = _WITNESS_ONLY_NODE_BUDGET if witness_only else None
     certified = not witness_only
+
+    def search(r: int, prune: Sequence[Permutation], budget: Optional[int]):
+        return _search_palette(
+            npos, later, prune, r, budget, nontrivial, earlier, distinguishing
+        )
+
     for r in range(max(1, lower), npos + 1):
         try:
-            vec = _search_palette(npos, later, perms, r, budget, nontrivial)
+            if late_perms is None:
+                vec = search(r, perms, budget)
+            else:
+                first = _PRUNE_AFTER_NODES if budget is None else min(budget, _PRUNE_AFTER_NODES)
+                try:
+                    vec = search(r, perms, first)
+                except _BudgetExceeded:
+                    perms, late_perms = late_perms(), None
+                    vec = search(r, perms, budget)
         except _BudgetExceeded:
             certified = False
             continue
@@ -369,6 +463,16 @@ def _edge_action(G: Graph, perms: Sequence[Permutation]) -> list[Permutation]:
             "fixes every edge (single-edge degeneracy)"
         )
     return [tuple(k - n for k in lifted[n:]) for lifted in _subdivision_lifts(G, perms)]
+
+
+def _late_vertex_prune(G: Graph) -> Sequence[Permutation]:
+    """The vertex automorphisms of least support for the orbit prune alone,
+    or none where the automorphism caps would refuse G."""
+    try:
+        refused = G.n > vertex_cap(None, symmetry.DEFAULT_VERTEX_CAP)
+    except MalformedInputError:
+        refused = True
+    return () if refused else _smallest_support_automorphisms(G)[:_PRUNE_SET_SIZE]
 
 
 def _vertex_decider(G: Graph) -> Callable[[list[int]], bool]:
@@ -423,6 +527,9 @@ class _Kind(NamedTuple):
     needs_edge: bool
     conflicts: Callable[[Graph], Sequence[tuple[int, int]]]
     lower: Callable[..., int]  # (G, npos, pairs, witness_only, max_positions)
+    # False for chi: the coloring need only be proper, and the vertex
+    # automorphisms of G serve the orbit prune alone, once the search is hard.
+    distinguishing: bool
     # (G, automorphisms of G) -> the same elements as position permutations
     group: Optional[Callable[[Graph, Sequence[Permutation]], Sequence[Permutation]]]
     # G -> does a non-identity automorphism keep these position colors?
@@ -433,29 +540,29 @@ class _Kind(NamedTuple):
 _KINDS: dict[str, _Kind] = {
     "chi": _Kind(
         "chromatic_number", lambda G: G.n, False, lambda G: G.edges, _clique_bound,
-        None, None, lambda G, vec, r: VertexColoring(vec, r),
+        False, None, None, lambda G, vec, r: VertexColoring(vec, r),
     ),
     "D": _Kind(
         "distinguishing_number", lambda G: G.n, False, lambda G: (), _no_bound,
-        _vertex_action, _vertex_decider, lambda G, vec, r: VertexColoring(vec, r),
+        True, _vertex_action, _vertex_decider, lambda G, vec, r: VertexColoring(vec, r),
     ),
     "chiD": _Kind(
         "distinguishing_chromatic_number", lambda G: G.n, False, lambda G: G.edges,
-        _chromatic_bound, _vertex_action, _vertex_decider,
+        _chromatic_bound, True, _vertex_action, _vertex_decider,
         lambda G, vec, r: VertexColoring(vec, r),
     ),
     "Dp": _Kind(
         "distinguishing_index", lambda G: G.num_edges, True, lambda G: (), _no_bound,
-        _edge_action, _edge_decider, lambda G, vec, r: EdgeColoring(G.edges, vec, r),
+        True, _edge_action, _edge_decider, lambda G, vec, r: EdgeColoring(G.edges, vec, r),
     ),
     "chiDp": _Kind(
         "distinguishing_chromatic_index", lambda G: G.num_edges, True, incident_edge_pairs,
-        _clique_bound, _edge_action, _edge_decider,
+        _clique_bound, True, _edge_action, _edge_decider,
         lambda G, vec, r: EdgeColoring(G.edges, vec, r),
     ),
     "Dpp": _Kind(
         "total_distinguishing_number", lambda G: G.n + G.num_edges, True, lambda G: (),
-        _no_bound, _subdivision_lifts, _total_decider, _total_witness,
+        _no_bound, True, _subdivision_lifts, _total_decider, _total_witness,
     ),
 }
 
@@ -481,8 +588,9 @@ def _invariant(
     npos = spec.positions(G)
     pairs = spec.conflicts(G)
     lower = spec.lower(G, npos, pairs, witness_only, max_positions)
-    if spec.group is None:
-        perms, nontrivial = (), None
+    late_perms = None
+    if not spec.distinguishing:  # chi: a prune group only once the search is hard
+        perms, nontrivial, late_perms = (), None, partial(_late_vertex_prune, G)
     else:
         elements = _smallest_support_automorphisms(G)
         perms = spec.group(G, elements)
@@ -491,7 +599,8 @@ def _invariant(
         nontrivial = spec.decider(G) if len(elements) >= symmetry._PRUNE_GROUP_CAP else None
     value, vec, certified = _minimize(
         kind=kind, npos=npos, conflict_pairs=pairs, perms=perms, nontrivial=nontrivial,
-        lower=lower, witness_only=witness_only, max_positions=max_positions,
+        distinguishing=spec.distinguishing, late_perms=late_perms, lower=lower,
+        witness_only=witness_only, max_positions=max_positions,
     )
     out = InvariantValue(kind, value, spec.witness(G, vec, value), certified)
     if key is not None:

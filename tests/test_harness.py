@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +192,23 @@ def test_run_check_parallel_matches_serial_on_file_corpus(tmp_path, order7_path)
     parallel = run_check("thm-3.3", spec, jobs=3)
     assert report_to_dict(serial) == report_to_dict(parallel)
     assert serial.summary["checked"] == 40 and serial.summary["failed"] == 0
+
+
+def test_order7_thm_2_8_report_is_pinned(tmp_path, order7_path, monkeypatch):
+    # Theorem (1), chi_D(M(G)) = Delta(G) + 1, over all 853 connected graphs
+    # of order 7: the report of `verify --theorem thm-2.8 --corpus
+    # data/connected_order7.g6`, run from the repository root.
+    monkeypatch.chdir(Path(order7_path).parent.parent)
+    spec = CorpusSpec(source="file", path="data/connected_order7.g6", max_order=62)
+    report = run_check("thm-2.8", spec)
+    out = tmp_path / "thm-2.8.json"
+    emit_report(report, "json", str(out))
+    data = out.read_bytes()
+    assert len(data) == 305_738
+    assert hashlib.sha256(data).hexdigest() == (
+        "bb08712f6898580f1e317897be8eab837156fda3e6bb90d42b4f096b5a43589e"
+    )
+    assert report.summary["checked"] == 853 and report.summary["failed"] == 0
 
 
 def test_hypothesis_filters_reject_ineligible_graphs(tmp_path):

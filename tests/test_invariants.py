@@ -142,8 +142,9 @@ def test_certification_cap_and_witness_only():
 
 
 def test_vertex_cap_applies_only_to_kinds_with_a_group():
-    # chi never asks for the automorphism group, so the 40-vertex cap of the
-    # automorphism search does not reach it; the other kinds still refuse.
+    # chi asks for the automorphism group only once its search is hard, and
+    # never past the 40-vertex cap of the automorphism search, so that cap
+    # does not refuse it; the other kinds still refuse.
     P = path_graph(45)
     iv = chromatic_number(P, witness_only=True)
     assert (iv.value, iv.certified) == (2, False)
@@ -485,6 +486,74 @@ def test_witness_only_edge_index_of_a_middle_graph(monkeypatch):
     iv = distinguishing_index(H, witness_only=True)
     assert (iv.value, iv.certified) == (2, False)
     assert is_distinguishing(H, iv.witness)
+
+
+def _vector_digest(vec) -> str:
+    return hashlib.sha256(",".join(map(str, vec)).encode()).hexdigest()
+
+
+def test_singleton_propagation_keeps_a_tight_palette_small():
+    # The proper edge search on M(F@_iw) at palette 7 visits 159,709 nodes
+    # with forward checking alone.  Blocking the last color of every position
+    # left with one at its uncolored partners reaches the same vector in
+    # 5,475.
+    H = middle_graph(parse_graph6("F@_iw"))
+    spec = _KINDS["chiDp"]
+    npos = spec.positions(H)
+    later = [[] for _ in range(npos)]
+    for a, b in spec.conflicts(H):
+        later[a].append(b)
+    nonid = spec.group(H, automorphism_group(H).nonidentity())
+    vec = _search_palette(npos, later, nonid, 7, node_budget=20_000)
+    assert _vector_digest(vec).startswith("d6e4f4cd91e322e1")
+
+
+def test_chi_prunes_with_the_group_once_its_search_is_hard(monkeypatch):
+    # chi(M(K7)) needs tens of seconds of unpruned search at palette 7; the
+    # orbit prune by S7 makes it about one second, with the same witness.
+    fetched = []
+
+    def counted(G):
+        fetched.append(G)
+        return real(G)
+
+    real = invariants._late_vertex_prune
+    monkeypatch.setattr(invariants, "_late_vertex_prune", counted)
+    clear_invariant_cache()
+    H = middle_graph(complete_graph(7))
+    iv = chromatic_number(H)
+    assert (iv.value, iv.certified) == (7, True)
+    assert _vector_digest(iv.witness.colors).startswith("ec82ec4c11b37a8a")
+    assert fetched == [H]
+    # An easy search never asks for the group.
+    chromatic_number(complete_graph(7))
+    assert fetched == [H]
+
+
+def test_chi_prune_fetch_at_the_first_node(corpus, monkeypatch):
+    # With the node threshold at 0 every chi search asks for its prune group
+    # at once: past the 40-vertex automorphism cap it gets none and still
+    # answers, and every pinned witness stays put.
+    fetched = []
+
+    def counted(G):
+        fetched.append(G.n)
+        return real(G)
+
+    real = invariants._late_vertex_prune
+    monkeypatch.setattr(invariants, "_late_vertex_prune", counted)
+    monkeypatch.setattr(invariants, "_PRUNE_AFTER_NODES", 0)
+    clear_invariant_cache()
+    P = path_graph(45)
+    iv = chromatic_number(P, witness_only=True)
+    assert (iv.value, iv.certified) == (2, False)
+    assert is_proper(P, iv.witness)
+    assert fetched == [45] and real(P) == ()
+    try:
+        test_witnesses_are_pinned(corpus)
+    finally:
+        clear_invariant_cache()
+    assert len(fetched) > 500
 
 
 def _twin_rich_graph(rng: random.Random):

@@ -16,6 +16,18 @@ automorphisms.  It places the vertices of singleton cells first, then always
 the unplaced vertex with the most placed neighbours, so a wrong choice soon
 fails the adjacency check.  Elements are returned in a fixed order that does
 not depend on that search order (see AutGroup).
+
+The refinement (_refine_colors) iterates (color, multiset of neighbor
+colors) to a fixpoint; the colors of a round are the ranks of those keys, so
+they do not depend on vertex labels.  It keeps the cells in color order and
+recomputes a round's keys only in the cells next to a cell that split in the
+round before, as no other cell can split.  A split cell's parts, ordered by
+key, take its place in the list, and a vertex's color is the position of its
+cell.  The keys compare color first, so the rank of a key is the number of
+parts of lower-colored cells plus its rank within its own cell: that
+position.  The colors are thus those of recomputing every key every round.
+Individualizing a vertex splits its cell in place and refines from there,
+and a canonical-labelling leaf's adjacency code is set from the edge list.
 """
 
 from __future__ import annotations
@@ -134,22 +146,87 @@ class AutGroup:
 # Partition refinement
 # ---------------------------------------------------------------------------
 
-def _refine_colors(G: Graph, colors: list[int]) -> list[int]:
+def _refine_colors(G: Graph, colors: Sequence[int]) -> list[int]:
     """Iterate (color, multiset of neighbor colors) to a fixpoint.
 
-    The output colors are ranks of sorted signature keys, so they are
-    invariant under relabeling.
+    Each round gives every vertex the rank of its key (color, sorted
+    neighbor colors) among all keys, so the output colors are invariant
+    under relabeling.  The input colors may be any integers.
     """
-    n = G.n
-    while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in G.adj[v]))) for v in range(n)
-        ]
-        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-        new = [rank[keys[v]] for v in range(n)]
-        if new == colors:
-            return colors
-        colors = new
+    classes: dict[int, list[int]] = {}
+    if len(set(colors)) == 1:
+        # The first round splits a uniform coloring by degree.
+        for v, nbrs in enumerate(G.adj):
+            classes.setdefault(len(nbrs), []).append(v)
+        cells = [classes[d] for d in sorted(classes)]
+        return _refine_cells(G.adj, cells, _touched(cells))
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    return _refine_cells(G.adj, [classes[c] for c in sorted(classes)], range(G.n))
+
+
+def _touched(parts: list[list[int]]) -> list[int]:
+    """The members of the parts a cell just split into, but its largest.
+    The members of a cell next to none of them saw equal multisets before,
+    so they see equal numbers of each cell that did not split, and of the
+    largest part too: that cell cannot split in the next round."""
+    largest = max(parts, key=len)
+    return [v for part in parts if part is not largest for v in part]
+
+
+def _refine_cells(
+    adj: Sequence[Sequence[int]], cells: list[list[int]], touched: Sequence[int]
+) -> list[int]:
+    """The colors _refine_colors gives the ordered partition `cells` (cell i
+    colored i), recomputing each round only the cells next to a vertex in
+    `touched`.  That starts as every vertex, or as the parts that have just
+    split off a cell of an equitable partition but the largest part of each
+    (see _touched): a cell next to none of them cannot split.
+
+    A cell is labelled by the position of its first vertex in the cells laid
+    end to end.  A split keeps that label for its first part, and its parts,
+    ordered by their sorted neighbor labels, take its place; so labels order
+    cells as their colors do, and the final color of a cell is its rank.
+    """
+    n = len(adj)
+    label = [0] * n
+    label_of = label.__getitem__
+    cell_at: list[list[int]] = [[]] * n  # a cell's members, at its label
+    start = 0
+    for cell in cells:
+        cell_at[start] = cell
+        for v in cell:
+            label[v] = start
+        start += len(cell)
+    while touched:
+        # Rounds are synchronous: every key of a round uses the labels from
+        # before any of its splits.
+        splits = []
+        for s in {label[u] for w in touched for u in adj[w]}:
+            cell = cell_at[s]
+            if len(cell) < 2:
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                parts.setdefault(tuple(sorted(map(label_of, adj[v]))), []).append(v)
+            if len(parts) > 1:
+                splits.append((s, [parts[key] for key in sorted(parts)]))
+        touched = []
+        for s, parts in splits:
+            touched += _touched(parts)
+            for part in parts:
+                cell_at[s] = part
+                for v in part:
+                    label[v] = s
+                s += len(part)
+    colors = [0] * n
+    color = start = 0
+    while start < n:
+        for v in cell_at[start]:
+            colors[v] = color
+        start += len(cell_at[start])
+        color += 1
+    return colors
 
 
 def _adjacency_masks(G: Graph) -> list[int]:
@@ -300,9 +377,14 @@ def _search_setup(G: Graph, colors: list[int]) -> _Setup:
     forced = sum(len(cell) == 1 for cell in members.values())
     order = _placement_order(cell_order, forced, masks)
     cands = [members[colors[v]] for v in order]
-    prior_nbrs = [
-        [u for u in order[:d] if (masks[order[d]] >> u) & 1] for d in range(n)
-    ]
+    depth = [0] * n
+    for d, v in enumerate(order):
+        depth[v] = d
+    prior_nbrs: list[list[int]] = [[] for _ in range(n)]
+    for d, v in enumerate(order):
+        for u in G.adj[v]:
+            if depth[u] > d:
+                prior_nbrs[depth[u]].append(v)
     return _Setup(cell_order, order, cands, prior_nbrs, masks)
 
 
@@ -387,23 +469,31 @@ def _placement_order(cell_order: list[int], forced: int, masks: list[int]) -> li
 # ---------------------------------------------------------------------------
 
 def _individualize(G: Graph, colors: list[int], v: int) -> list[int]:
-    keys = [(colors[u], 0 if u == v else 1) for u in range(G.n)]
-    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    return _refine_colors(G, [rank[keys[u]] for u in range(G.n)])
+    """Give v a color of its own, just below the rest of its cell, and
+    refine.  colors must be refined already (an output of _refine_colors),
+    so only the cells next to v can split first."""
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for u, color in enumerate(colors):
+        cells[color].append(u)
+    c = colors[v]
+    if len(cells[c]) == 1:
+        return colors
+    cells[c : c + 1] = [[v], [u for u in cells[c] if u != v]]
+    return _refine_cells(G.adj, cells, [v])
 
 
 def _code_for(G: Graph, colors: list[int]) -> tuple[int, Permutation]:
-    # colors are discrete here: colors[v] is v's position in the new order.
-    n = G.n
-    vert_at = [0] * n
-    for v in range(n):
-        vert_at[colors[v]] = v
+    """The adjacency code of the graph relabelled by discrete colors
+    (colors[v] is v's new index): bit j(j-1)/2 + i of the upper triangle,
+    taken column by column and most significant first, is set when the
+    vertices at i < j are adjacent."""
+    total = G.n * (G.n - 1) // 2
     acc = 0
-    for j in range(1, n):
-        vj = vert_at[j]
-        row = G.adj_sets[vj]
-        for i in range(j):
-            acc = (acc << 1) | (1 if vert_at[i] in row else 0)
+    for u, v in G.edges:
+        i, j = colors[u], colors[v]
+        if i > j:
+            i, j = j, i
+        acc |= 1 << (total - 1 - j * (j - 1) // 2 - i)
     return acc, tuple(colors)
 
 

@@ -3,7 +3,9 @@
 Nothing here reuses the package's search machinery: automorphisms come from
 filtering raw bijections, invariants from unpruned scans over every color
 tuple.  Slow on purpose; valid at oracle scale (order <= 5, plus a plain
-backtracking automorphism search for slightly larger stars).
+backtracking automorphism search for slightly larger stars).  The colour
+refinement, individualization and leaf code at the end are the package's
+earlier straightforward versions, kept as references for the faster ones.
 """
 
 from __future__ import annotations
@@ -208,3 +210,39 @@ def naive_is_irreducible(G: Graph) -> bool:
             if set(G.adj[x]) == set(G.adj[y]):
                 return False
     return True
+
+
+def reference_refine_colors(G: Graph, colors: list[int]) -> list[int]:
+    """Iterate (color, multiset of neighbor colors) to a fixpoint, ranking
+    every vertex's full signature key in every round."""
+    n = G.n
+    while True:
+        keys = [
+            (colors[v], tuple(sorted(colors[u] for u in G.adj[v]))) for v in range(n)
+        ]
+        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+        new = [rank[keys[v]] for v in range(n)]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_individualize(G: Graph, colors: list[int], v: int) -> list[int]:
+    keys = [(colors[u], 0 if u == v else 1) for u in range(G.n)]
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return reference_refine_colors(G, [rank[keys[u]] for u in range(G.n)])
+
+
+def reference_code_for(G: Graph, colors: list[int]) -> tuple[int, tuple[int, ...]]:
+    """The adjacency code of the discrete coloring, testing every pair."""
+    n = G.n
+    vert_at = [0] * n
+    for v in range(n):
+        vert_at[colors[v]] = v
+    acc = 0
+    for j in range(1, n):
+        vj = vert_at[j]
+        row = G.adj_sets[vj]
+        for i in range(j):
+            acc = (acc << 1) | (1 if vert_at[i] in row else 0)
+    return acc, tuple(colors)

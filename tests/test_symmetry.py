@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
@@ -14,9 +16,13 @@ from symbreak.graph_core import (
     NamedGraphSpec,
     parse_graph6,
     path_graph,
+    read_graph6_file,
     star_graph,
 )
 from symbreak.symmetry import (
+    _code_for,
+    _individualize,
+    _refine_colors,
     _smallest_support_automorphisms,
     automorphism_group,
     canonical_form,
@@ -35,7 +41,12 @@ from symbreak.symmetry import (
 )
 from symbreak.transforms import endline_graph, line_graph, middle_graph, subdivision_graph
 
-from oracles import brute_automorphisms
+from oracles import (
+    brute_automorphisms,
+    reference_code_for,
+    reference_individualize,
+    reference_refine_colors,
+)
 
 
 def test_group_orders_of_known_graphs():
@@ -188,6 +199,80 @@ def test_canonical_form_constant_on_classes(corpus):
             p = list(range(G.n))
             rng.shuffle(p)
             assert canonical_form(permute_graph(G, tuple(p))) == key
+
+
+def test_refinement_matches_the_reference():
+    # The split-queue refinement, individualization and leaf code must give
+    # exactly the colors and codes of the plain versions kept in oracles.py:
+    # canonical forms and the documented element order rest on them.  The
+    # graphs are random, of order 2..30 at several densities, plus the
+    # middle graphs (up to 28 vertices, symmetric more often) of random
+    # graphs of order 3..7.
+    rng = random.Random(1414)
+
+    def random_graph(n):
+        density = rng.choice((0.08, 0.15, 0.3, 0.6))
+        pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        return from_edge_list(n, pairs)
+
+    graphs = [random_graph(rng.randint(2, 30)) for _ in range(120)]
+    small = [random_graph(rng.randint(3, 7)) for _ in range(40)]
+    graphs += [middle_graph(G) for G in small if G.num_edges]
+    for G in graphs:
+        n = G.n
+        colorings = [
+            [0] * n,
+            [5] * n,
+            [rng.randrange(3) for _ in range(n)],
+            [rng.choice((0, 0, 0, 0, -1, -6)) for _ in range(n)],
+        ]
+        for colors in colorings:
+            assert _refine_colors(G, colors) == reference_refine_colors(G, list(colors)), (
+                G.edges,
+                colors,
+            )
+        base = reference_refine_colors(G, [0] * n)
+        deeper = reference_individualize(G, base, rng.randrange(n))
+        for colors in (base, deeper):
+            for v in range(n):  # singleton cells included
+                assert _individualize(G, colors, v) == reference_individualize(
+                    G, colors, v
+                ), (G.edges, colors, v)
+        for _ in range(3):
+            discrete = rng.sample(range(n), n)
+            assert _code_for(G, discrete) == reference_code_for(G, discrete)
+
+
+@pytest.fixture(scope="module")
+def transformed_order7(order7_path):
+    """The line, endline, subdivision and middle graphs of the 853 order-7
+    graphs: up to 28 vertices, where the refinement runs many rounds."""
+    return [
+        transform(G)
+        for G in read_graph6_file(order7_path)
+        for transform in (line_graph, endline_graph, subdivision_graph, middle_graph)
+    ]
+
+
+def test_transformed_order7_canonical_forms_are_pinned(transformed_order7):
+    # SHA-256 recorded with the plain refinement that recomputed every
+    # vertex's key in every round.
+    digest = hashlib.sha256()
+    for H in transformed_order7:
+        digest.update(canonical_form(H).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "0b5ff8372726705fcb7408ba99f7ae169fc3d20b60046ac5345497b59547b4e1"
+    )
+
+
+def test_transformed_order7_element_order_is_pinned(transformed_order7):
+    # Recorded like the canonical forms above.
+    digest = hashlib.sha256()
+    for H in transformed_order7:
+        digest.update(repr(automorphism_group(H).elements).encode())
+    assert digest.hexdigest() == (
+        "5d82e4cd1b33a34205dd869f1ba388866e430fec1c9128266159e98b26478b8b"
+    )
 
 
 def test_edge_action_identity_and_rotation():

@@ -11,11 +11,11 @@ All six share one shape: the least palette for a coloring of some positions
 (vertices, edges, or both) that is optionally proper and that only the
 identity preserves.  One table, ``_KINDS``, gives each kind its position
 count, whether an edge is required, its conflict pairs (the properness
-constraints), its certified lower bound, whether the coloring must
-distinguish (all but chi), the action of Aut(G) on its positions with a
-leaf decider (neither for chi) and its witness builder; one driver,
-``_invariant``, checks the input, looks up the memo of certified values and
-runs the search.  The six public functions are one-line wrappers around it.
+constraints), its certified lower bound, the action of Aut(G) on its
+positions with a leaf decider (neither for chi, the one kind that need not
+distinguish) and its witness builder; one driver, ``_invariant``, checks
+the input, looks up the memo of certified values and runs the search.  The
+six public functions are one-line wrappers around it.
 
 One backtracking engine serves all six.  Color vectors are enumerated in
 position order with a first-fit palette restriction, and three cuts remove
@@ -45,12 +45,12 @@ stabilizer cut remove only subtrees without a valid leaf, and the orbit
 prune only subtrees whose valid leaves all have a smaller valid vector:
 the first accepted leaf is the lexicographically least valid vector, the
 same with or without any cut, and exhausting the tree certifies that no
-valid vector exists at that palette size.  A leaf is checked against the
-whole group when it has at most 6,000 elements.  A larger group is never
-listed: a leaf is checked against its 6,000 elements of least support, and
-one that none of them preserves is decided by a search for an automorphism
+valid vector exists at that palette size.  The stabilizer cut leaves no
+leaf that one of the 64 elements preserves.  So a leaf is checked only when
+the group may hold more than them, by a search for an automorphism
 preserving it, on G for vertex colorings and on S(G) for edge and total
-ones (Theorem 3.3's view).
+ones (Theorem 3.3's view).  The searches list a group of at most 6,000
+elements to pick the 64, and find those of a larger one without listing it.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from .errors import (
 from . import symmetry
 from .graph_core import Graph, incident_edge_pairs, is_connected, to_graph6
 from .symmetry import (
-    _PRUNE_SET_SIZE,
     Permutation,
     _has_nontrivial_automorphism,
     _smallest_support_automorphisms,
@@ -184,70 +183,65 @@ def _search_palette(
     r: int,
     node_budget: Optional[int] = None,
     nontrivial: Optional[Callable[[list[int]], bool]] = None,
-    earlier: Optional[Sequence[Sequence[int]]] = None,
     distinguishing: bool = True,
 ) -> Optional[tuple[int, ...]]:
     """First-fit lexicographic DFS for a valid coloring with <= r colors:
-    no conflict pair monochromatic, and, when ``distinguishing``, no element
-    of ``perms`` preserving it.  ``perms`` must not hold the identity.  Its
-    first _PRUNE_SET_SIZE elements also drive the orbit prune, each walking
-    only its support, and, when ``distinguishing``, the stabilizer cut: a
-    prefix is cut as soon as one of them keeps the colors of its whole
-    support, since it then keeps every completion.  Without
-    ``distinguishing`` (chi) such an element is set aside instead, and
-    leaves are not checked against the group: ``perms`` only prunes.  When
+    no conflict pair monochromatic, and, when ``distinguishing``, no
+    non-identity group element preserving it.  Every element of ``perms``,
+    which must not hold the identity, drives the orbit prune, walking only
+    its support, and, when ``distinguishing``, the stabilizer cut: a prefix
+    is cut as soon as one of them keeps the colors of its whole support,
+    since it then keeps every completion.  So no element of ``perms``
+    preserves a leaf the search reaches.  Without ``distinguishing`` (chi)
+    such an element is set aside instead: ``perms`` only prunes.  When
     ``perms`` is only part of the group, ``nontrivial(colors)`` decides
-    whether the rest of the group has an element preserving a leaf that no
-    element of ``perms`` preserves.
+    whether the rest of it has an element preserving a leaf.
 
     ``later[k]`` lists the conflict partners of position k that come after
-    it, and ``earlier[j]`` those that come before j, in increasing order
-    (built from ``later`` when not given).  Coloring k blocks its color at the
-    partners in ``later[k]`` (forward checking, Haralick & Elliott, AIJ
-    1980).  A position left with a single free color is a singleton: that
-    color is blocked at each of its uncolored partners, before and after it,
-    and the blocking cascades.  A branch that leaves some position with no
-    free color is cut before the orbit prune runs.  Only colors that no
-    proper completion of the prefix can give a position are blocked, so no
-    valid vector is lost.  Kinds without conflict pairs do no such
-    bookkeeping.
+    it, and ``earlier[j]``, built from it, those that come before j, in
+    increasing order.  Coloring k blocks its color at the partners in
+    ``later[k]`` (forward checking, Haralick & Elliott, AIJ 1980).  A
+    position left with a single free color is a singleton: that color is
+    blocked at each of its uncolored partners, before and after it, and the
+    blocking cascades.  A branch that leaves some position with no free
+    color is cut before the orbit prune runs.  Only colors that no proper
+    completion of the prefix can give a position are blocked, so no valid
+    vector is lost.  Kinds without conflict pairs do no such bookkeeping.
 
     Returns the lexicographically least valid color vector, or None when the
     (soundly pruned) tree is exhausted without finding one.
     """
     colors = [0] * npos
-    prune = perms[:_PRUNE_SET_SIZE]
-    # supports[qi]: the positions prune permutation qi moves, in increasing
+    # supports[qi]: the positions permutation qi moves, in increasing
     # order.  Its image vector can first differ from the vector only at one
     # of them, and tptr[qi] indexes the next one to compare.
-    supports = [[t for t, j in enumerate(q) if t != j] for q in prune]
-    tptr = [0] * len(prune)
-    # buckets[k]: the prune permutations whose next comparison waits on
+    supports = [[t for t, j in enumerate(q) if t != j] for q in perms]
+    tptr = [0] * len(perms)
+    # buckets[k]: the permutations whose next comparison waits on
     # position k.  A wake at position k reads buckets[k] and appends only to
     # later buckets, and deeper wakes are undone first, so each permutation
     # it moved is still last in its new bucket when it is undone.
     buckets: list[list[int]] = [[] for _ in range(npos)]
-    for qi, q in enumerate(prune):
+    for qi, q in enumerate(perms):
         buckets[q[supports[qi][0]]].append(qi)  # q moves its least moved point up
-    stab_order = list(range(len(perms)))
     nodes = 0
 
     def wake(k: int):
-        """Advance every prune permutation waiting on position k.
+        """Advance every permutation waiting on position k.
 
         Returns (pruned, moves).  The scan stops with pruned True at the
         first permutation that either maps the prefix to a smaller vector
         (the orbit cut) or, when ``distinguishing``, keeps every pair of its
-        support equal (the stabilizer cut: no prune permutation is the
-        identity, and one that keeps its support keeps every completion, so
-        none distinguishes).  moves holds (qi, old pointer, new bucket) for
+        support equal (the stabilizer cut: no permutation is the identity,
+        and one that keeps its support keeps every completion, so none
+        distinguishes).  moves holds (qi, old pointer, new bucket) for
         each permutation moved on.  One that maps the prefix to a larger
         vector, or keeps it whole, can no longer cut, and stays out of the
         buckets until undo.
         """
         moves = []
         for qi in buckets[k]:
-            q = prune[qi]
+            q = perms[qi]
             sup = supports[qi]
             i = tptr[qi]
             while i < len(sup):
@@ -276,21 +270,6 @@ def _search_palette(
             tptr[qi] = t0
             buckets[pos].pop()
 
-    def no_preserving_perm() -> bool:
-        if not distinguishing:
-            return True
-        cols = colors
-        for oi in range(len(stab_order)):
-            p = perms[stab_order[oi]]
-            for i in range(npos):
-                if cols[p[i]] != cols[i]:
-                    break
-            else:
-                if oi:
-                    stab_order.insert(0, stab_order.pop(oi))
-                return False
-        return nontrivial is None or not nontrivial(cols)
-
     # Forward checking and singleton propagation: bit c of used[j] is set
     # when color c is blocked at j; j has no color left when used[j] == full,
     # and one when full ^ used[j] is a single bit.  Every change to used is
@@ -300,11 +279,10 @@ def _search_palette(
     full = (1 << (r + 1)) - 2
     trail: list[tuple[int, int]] = []
     singles: list[int] = []  # singletons whose color is not yet blocked at their partners
-    if earlier is None and any(later):
-        earlier = [[] for _ in range(npos)]
-        for a in range(npos):
-            for b in later[a]:
-                earlier[b].append(a)
+    earlier: list[list[int]] = [[] for _ in range(npos)]
+    for a in range(npos):
+        for b in later[a]:
+            earlier[b].append(a)
 
     def propagate(k: int) -> bool:
         """Block the last color of every queued singleton at its uncolored
@@ -371,7 +349,7 @@ def _search_palette(
             pruned, moves = wake(k)
             if not pruned:  # a vector found ends the search: nothing is undone
                 if last:
-                    if no_preserving_perm():
+                    if nontrivial is None or not nontrivial(colors):
                         return tuple(colors)
                 else:
                     found = rec(k + 1, v if v > maxc else maxc)
@@ -411,17 +389,13 @@ def _minimize(
             "(set SYMBREAK_MAX_VERTICES or use witness_only)"
         )
     later: list[list[int]] = [[] for _ in range(npos)]
-    earlier: list[list[int]] = [[] for _ in range(npos)]
     for a, b in conflict_pairs:  # sorted, a < b, as G.edges and incident_edge_pairs are
         later[a].append(b)
-        earlier[b].append(a)
     budget = _WITNESS_ONLY_NODE_BUDGET if witness_only else None
     certified = not witness_only
 
     def search(r: int, prune: Sequence[Permutation], budget: Optional[int]):
-        return _search_palette(
-            npos, later, prune, r, budget, nontrivial, earlier, distinguishing
-        )
+        return _search_palette(npos, later, prune, r, budget, nontrivial, distinguishing)
 
     for r in range(max(1, lower), npos + 1):
         try:
@@ -472,7 +446,7 @@ def _late_vertex_prune(G: Graph) -> Sequence[Permutation]:
         refused = G.n > vertex_cap(None, symmetry.DEFAULT_VERTEX_CAP)
     except MalformedInputError:
         refused = True
-    return () if refused else _smallest_support_automorphisms(G)[:_PRUNE_SET_SIZE]
+    return () if refused else _smallest_support_automorphisms(G)
 
 
 def _vertex_decider(G: Graph) -> Callable[[list[int]], bool]:
@@ -520,16 +494,15 @@ def _total_witness(G: Graph, vec: tuple[int, ...], r: int) -> TotalColoring:
 class _Kind(NamedTuple):
     """One invariant: the least palette r admitting a coloring of the
     positions that gives no conflict pair one color (properness) and, when a
-    group action is given, is preserved by no non-identity automorphism."""
+    group action is given, is preserved by no non-identity automorphism.
+    Without one (chi) the vertex automorphisms of G serve the orbit prune
+    alone, once the search is hard."""
 
     name: str  # the public function, for error messages
     positions: Callable[[Graph], int]
     needs_edge: bool
     conflicts: Callable[[Graph], Sequence[tuple[int, int]]]
     lower: Callable[..., int]  # (G, npos, pairs, witness_only, max_positions)
-    # False for chi: the coloring need only be proper, and the vertex
-    # automorphisms of G serve the orbit prune alone, once the search is hard.
-    distinguishing: bool
     # (G, automorphisms of G) -> the same elements as position permutations
     group: Optional[Callable[[Graph, Sequence[Permutation]], Sequence[Permutation]]]
     # G -> does a non-identity automorphism keep these position colors?
@@ -540,29 +513,29 @@ class _Kind(NamedTuple):
 _KINDS: dict[str, _Kind] = {
     "chi": _Kind(
         "chromatic_number", lambda G: G.n, False, lambda G: G.edges, _clique_bound,
-        False, None, None, lambda G, vec, r: VertexColoring(vec, r),
+        None, None, lambda G, vec, r: VertexColoring(vec, r),
     ),
     "D": _Kind(
         "distinguishing_number", lambda G: G.n, False, lambda G: (), _no_bound,
-        True, _vertex_action, _vertex_decider, lambda G, vec, r: VertexColoring(vec, r),
+        _vertex_action, _vertex_decider, lambda G, vec, r: VertexColoring(vec, r),
     ),
     "chiD": _Kind(
         "distinguishing_chromatic_number", lambda G: G.n, False, lambda G: G.edges,
-        _chromatic_bound, True, _vertex_action, _vertex_decider,
+        _chromatic_bound, _vertex_action, _vertex_decider,
         lambda G, vec, r: VertexColoring(vec, r),
     ),
     "Dp": _Kind(
         "distinguishing_index", lambda G: G.num_edges, True, lambda G: (), _no_bound,
-        True, _edge_action, _edge_decider, lambda G, vec, r: EdgeColoring(G.edges, vec, r),
+        _edge_action, _edge_decider, lambda G, vec, r: EdgeColoring(G.edges, vec, r),
     ),
     "chiDp": _Kind(
         "distinguishing_chromatic_index", lambda G: G.num_edges, True, incident_edge_pairs,
-        _clique_bound, True, _edge_action, _edge_decider,
+        _clique_bound, _edge_action, _edge_decider,
         lambda G, vec, r: EdgeColoring(G.edges, vec, r),
     ),
     "Dpp": _Kind(
         "total_distinguishing_number", lambda G: G.n + G.num_edges, True, lambda G: (),
-        _no_bound, True, _subdivision_lifts, _total_decider, _total_witness,
+        _no_bound, _subdivision_lifts, _total_decider, _total_witness,
     ),
 }
 
@@ -589,17 +562,17 @@ def _invariant(
     pairs = spec.conflicts(G)
     lower = spec.lower(G, npos, pairs, witness_only, max_positions)
     late_perms = None
-    if not spec.distinguishing:  # chi: a prune group only once the search is hard
+    if spec.group is None:  # chi: a prune group only once the search is hard
         perms, nontrivial, late_perms = (), None, partial(_late_vertex_prune, G)
     else:
         elements = _smallest_support_automorphisms(G)
         perms = spec.group(G, elements)
-        # The list is cut at the cap only when the group is too large to
-        # list; a leaf that none of its elements keeps is then decided by search.
-        nontrivial = spec.decider(G) if len(elements) >= symmetry._PRUNE_GROUP_CAP else None
+        # The search reaches no leaf these elements keep; one the rest of a
+        # larger group may keep is decided by search.
+        nontrivial = spec.decider(G) if len(elements) >= symmetry._PRUNE_SET_SIZE else None
     value, vec, certified = _minimize(
         kind=kind, npos=npos, conflict_pairs=pairs, perms=perms, nontrivial=nontrivial,
-        distinguishing=spec.distinguishing, late_perms=late_perms, lower=lower,
+        distinguishing=spec.group is not None, late_perms=late_perms, lower=lower,
         witness_only=witness_only, max_positions=max_positions,
     )
     out = InvariantValue(kind, value, spec.witness(G, vec, value), certified)

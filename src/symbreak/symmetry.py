@@ -3,19 +3,19 @@
 Groups of at most _PRUNE_GROUP_CAP elements are listed in full, so
 stabilizers and distinguishing checks reduce to plain filters over the
 element list; automorphism_group lists a larger group too when asked.  The
-invariant searches take the non-identity elements in least-support order
-(_smallest_support_automorphisms), and their orbit prune and stabilizer
-cut only the first _PRUNE_SET_SIZE of them.  A listed group is sorted by
-support; a larger group is never listed, and its _PRUNE_GROUP_CAP elements
-of least support come from a search that cuts every branch moving too many
-vertices.  A coloring none of those preserves is then decided by a search
-whose refinement starts from the coloring.  Every search backtracks over an
-iterated degree/neighborhood refinement of the vertex set and validates
-adjacency incrementally, so leaves of the search tree are exactly the
-automorphisms.  It places the vertices of singleton cells first, then always
-the unplaced vertex with the most placed neighbours, so a wrong choice soon
-fails the adjacency check.  Elements are returned in a fixed order that does
-not depend on that search order (see AutGroup).
+invariant searches take only the _PRUNE_SET_SIZE non-identity elements of
+least support (_smallest_support_automorphisms) for their orbit prune and
+stabilizer cut.  They are picked from a listed group; a larger group is
+never listed, and they come from a search that cuts every branch moving too
+many vertices.  A coloring none of them preserves is decided, when the group
+may hold more, by a search whose refinement starts from the coloring.  Every
+search backtracks over an iterated degree/neighborhood refinement of the
+vertex set and validates adjacency incrementally, so leaves of the search
+tree are exactly the automorphisms.  It places the vertices of singleton
+cells first, then always the unplaced vertex with the most placed
+neighbours, so a wrong choice soon fails the adjacency check.  Elements are
+returned in a fixed order that does not depend on that search order (see
+AutGroup).
 
 The refinement (_refine_colors) iterates (color, multiset of neighbor
 colors) to a fixpoint; the colors of a round are the ranks of those keys, so
@@ -32,10 +32,11 @@ and a canonical-labelling leaf's adjacency code is set from the edge list.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .colorings import EdgeColoring, TotalColoring, VertexColoring
@@ -126,14 +127,6 @@ class AutGroup:
     def nonidentity(self) -> tuple[Permutation, ...]:
         ident = identity_permutation(self.n)
         return tuple(p for p in self.elements if p != ident)
-
-    @cached_property
-    def by_support(self) -> tuple[Permutation, ...]:
-        """The non-identity elements sorted stably by support (the number of
-        vertices moved): ties keep the element order."""
-        return tuple(
-            sorted(self.nonidentity(), key=lambda p: sum(pi != i for i, pi in enumerate(p)))
-        )
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
@@ -241,14 +234,12 @@ def _adjacency_masks(G: Graph) -> list[int]:
 # Automorphism group enumeration
 # ---------------------------------------------------------------------------
 
-# Groups of at most this many elements are listed in full.  Past it the
-# invariant searches never list the group: they check each leaf against
-# this many of its elements of least support and decide the rest by search.
+# The invariant searches list a group of at most this many elements, and
+# never a larger one.
 _PRUNE_GROUP_CAP = 6000
-# The orbit prune and stabilizer cut of the invariant searches scan the
-# first this many group elements at every node (a leaf is checked against
-# all).  More cost more per node than they save in nodes: the cor-3.5 star
-# rows ran fastest with 32-100 elements.
+# The orbit prune and stabilizer cut of the invariant searches scan this many
+# group elements of least support at every node.  More cost more per node
+# than they save in nodes: the cor-3.5 star rows ran fastest with 32-100.
 _PRUNE_SET_SIZE = 64
 
 
@@ -311,35 +302,35 @@ def _enumerate_automorphisms(
 
 
 def _smallest_support_automorphisms(G: Graph) -> tuple[Permutation, ...]:
-    """The non-identity automorphisms in least-support order (by support,
-    then in the documented element order) wherever that order matters to
-    the orbit prune, which takes the first _PRUNE_SET_SIZE of them.  A group
-    of at most _PRUNE_GROUP_CAP elements is listed and comes whole, sorted
-    (AutGroup.by_support) unless the prune takes all of it anyway.  Of a
-    larger group, found without listing it, come only its _PRUNE_GROUP_CAP
-    elements of least support.  So the list is the whole group exactly when
-    it is shorter than _PRUNE_GROUP_CAP.  Cached per group, and per graph
-    and cap."""
+    """The _PRUNE_SET_SIZE non-identity automorphisms of least support (by
+    support, then in the documented element order), or all of them when
+    there are fewer.  A group of at most _PRUNE_GROUP_CAP elements is listed
+    and they are picked from the list; of a larger group, never listed, they
+    come from a search.  So the list is shorter than _PRUNE_SET_SIZE only
+    when it is the whole group.  Cached per graph for a larger group."""
     if _small_group(G) is not None:
         # The same cached object, taken through the public lookup whose
         # calls perfbench's per-layer trace counts.
         group = automorphism_group(G)
-        return group.by_support if group.order > _PRUNE_SET_SIZE + 1 else group.nonidentity()
-    return _least_support(G, _PRUNE_GROUP_CAP)
+        return tuple(heapq.nsmallest(  # stable: ties keep the element order
+            _PRUNE_SET_SIZE, group.nonidentity(),
+            key=lambda p: sum(pi != i for i, pi in enumerate(p)),
+        ))
+    return _least_support(G)
 
 
 @lru_cache(maxsize=32)
-def _least_support(G: Graph, cap: int) -> tuple[Permutation, ...]:
+def _least_support(G: Graph) -> tuple[Permutation, ...]:
     # One search per support size, each cutting every branch that moves
     # more vertices.  No automorphism moves exactly one vertex.
     s = _search_setup(G, [0] * G.n)
     key = _element_key(s.cell_order)
     out: list[Permutation] = []
     for support in range(2, G.n + 1):
-        if len(out) >= cap:
+        if len(out) >= _PRUNE_SET_SIZE:
             break
         out.extend(sorted(_automorphisms(s, support, support, math.inf), key=key))
-    return tuple(out[:cap])
+    return tuple(out[:_PRUNE_SET_SIZE])
 
 
 def _has_nontrivial_automorphism(G: Graph, colors: Sequence[int]) -> bool:

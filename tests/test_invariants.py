@@ -285,9 +285,10 @@ def test_witnesses_are_pinned(corpus):
 
 
 def test_witnesses_are_pinned_without_listing_groups(corpus, monkeypatch):
-    # With the group-size cap at 4, D and chiD on every graph with a group of
-    # more than 4 elements prune with 4 elements and decide the other leaves
-    # by the coloured search: the same items must give the same digest.
+    # With the group-size cap and the prune set at 4, every kind with a group
+    # on every graph with more than 4 automorphisms prunes with 4 elements,
+    # found without listing the group, and decides each leaf it reaches by the
+    # coloured search: the same items must give the same digest.
     calls = {"select": 0, "decide": 0}
 
     def counted(name, fn):
@@ -297,6 +298,7 @@ def test_witnesses_are_pinned_without_listing_groups(corpus, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(symmetry, "_PRUNE_GROUP_CAP", 4)
+    monkeypatch.setattr(symmetry, "_PRUNE_SET_SIZE", 4)
     monkeypatch.setattr(
         invariants, "_smallest_support_automorphisms",
         counted("select", invariants._smallest_support_automorphisms),
@@ -306,10 +308,12 @@ def test_witnesses_are_pinned_without_listing_groups(corpus, monkeypatch):
         counted("decide", invariants._has_nontrivial_automorphism),
     )
     clear_invariant_cache()
+    symmetry._least_support.cache_clear()  # cached per graph, at the set size
     try:
         test_witnesses_are_pinned(corpus)
     finally:
         clear_invariant_cache()
+        symmetry._least_support.cache_clear()
     assert calls["select"] > 500 and calls["decide"] > 500
 
 
@@ -375,14 +379,16 @@ _PRUNE_SUBSET_GRAPHS = [
 
 @pytest.mark.parametrize("G", _PRUNE_SUBSET_GRAPHS)
 def test_prune_set_smaller_than_the_group(G):
-    # Groups of 72-720 elements: the orbit prune scans only the first
-    # _PRUNE_SET_SIZE of them, and a leaf is checked against all.
+    # Groups of 72-720 elements: the invariants prune with only the first
+    # _PRUNE_SET_SIZE of them, and decide the leaves by the coloured search.
+    # Here the whole group drives the prune, so no leaf needs deciding.
     aut = automorphism_group(G)
     by_support = sorted(  # stable: ties keep the documented element order
         aut.nonidentity(), key=lambda p: sum(pi != i for i, pi in enumerate(p))
     )
-    assert symmetry._smallest_support_automorphisms(G) == tuple(by_support)
-    assert len(by_support) > invariants._PRUNE_SET_SIZE
+    cap = symmetry._PRUNE_SET_SIZE
+    assert symmetry._smallest_support_automorphisms(G) == tuple(by_support[:cap])
+    assert len(by_support) > cap
     autos = [aut.elements[0], *by_support]  # small support first: the oracles reject sooner
     compared = 0
     for kind, spec in _KINDS.items():
@@ -404,6 +410,61 @@ def test_prune_set_smaller_than_the_group(G):
             assert _search_palette(npos, later, perms, r) == want, (kind, r)
             compared += 1
     assert compared >= 5
+
+
+# D, Dp and Dpp of the _PRUNE_SUBSET_GRAPHS: D(K1,n) = D(Kn) = n,
+# D(K3,3) = 4, D'(K1,n) = n, D'(K5) = D'(K3,3) = 3 and D'(K6) = 2; D''(K1,n)
+# is the least k with k^2 >= n (each leaf needs its own pair of vertex and
+# edge colors), and D'' is 2 for the others, which one color cannot
+# distinguish.
+_PRUNE_SUBSET_VALUES = {
+    "K1,5": {"D": 5, "Dp": 5, "Dpp": 3},
+    "K1,6": {"D": 6, "Dp": 6, "Dpp": 3},
+    "K5": {"D": 5, "Dp": 3, "Dpp": 2},
+    "K6": {"D": 6, "Dp": 2, "Dpp": 2},
+    "K3,3": {"D": 4, "Dp": 3, "Dpp": 2},
+}
+
+
+@pytest.mark.parametrize("G", _PRUNE_SUBSET_GRAPHS)
+def test_prune_set_and_decider_as_the_invariants_run_them(G, request):
+    # The configuration the invariants use on a group of more than 64
+    # elements: the 64 of least support drive the prune, and the coloured
+    # search decides every leaf the search reaches.  At every palette up to
+    # the value, the proper kinds give the least valid vector, and the others
+    # give none below their exact value and, at it, the vector of a search
+    # that prunes with the whole group.
+    values = _PRUNE_SUBSET_VALUES[request.node.callspec.id]
+    aut = automorphism_group(G)
+    elements = symmetry._smallest_support_automorphisms(G)
+    assert len(elements) == symmetry._PRUNE_SET_SIZE < aut.order - 1
+    compared = 0
+    for kind, spec in _KINDS.items():
+        if spec.group is None:
+            continue
+        npos = spec.positions(G)
+        proper = kind in ("chiD", "chiDp")
+        if proper and npos > 9:
+            continue
+        later = [[] for _ in range(npos)]
+        for a, b in spec.conflicts(G):
+            later[a].append(b)
+        perms = spec.group(G, elements)
+        decider = spec.decider(G)
+        value = INVARIANT_FUNCTIONS[kind](G).value
+        if not proper:
+            assert value == values[kind], kind
+        for r in range(1, value + 1):
+            got = _search_palette(npos, later, perms, r, nontrivial=decider)
+            if proper:
+                want = least_valid_vector(G, kind, r, aut.elements)
+            elif r < value:
+                want = None
+            else:
+                want = _search_palette(npos, later, spec.group(G, aut.nonidentity()), r)
+            assert got == want, (kind, r)
+            compared += 1
+    assert compared >= 10
 
 
 def test_orbit_prune_keeps_every_palette_answer():

@@ -143,16 +143,18 @@ def test_subdivision_groups_with_large_independent_cells(G, order):
     ids=["S(K1,8)", "K8", "S(FwC^w) cap 20"],
 )
 def test_smallest_support_search_matches_selection_from_the_group(monkeypatch, G, cap):
-    # The support-bounded search must find exactly the first cap elements of
-    # the listed group (40,320 elements in the first two cases), sorted
-    # stably by support.  On S(FwC^w) the search meets the elements of one
-    # support in another order than the documented one.
+    # With the group past the listing cap, the support-bounded search must
+    # find exactly the first _PRUNE_SET_SIZE elements of the listed group
+    # (40,320 elements in the first two cases), sorted stably by support.
+    # On S(FwC^w) the search meets the elements of one support in another
+    # order than the documented one.
     monkeypatch.setattr(symmetry, "_PRUNE_GROUP_CAP", cap)
     by_support = sorted(  # stable: ties keep the documented element order
         automorphism_group(G).nonidentity(),
         key=lambda p: sum(pi != i for i, pi in enumerate(p)),
     )
-    assert _smallest_support_automorphisms(G) == tuple(by_support[:cap])
+    assert len(by_support) > cap
+    assert _smallest_support_automorphisms(G) == tuple(by_support[: symmetry._PRUNE_SET_SIZE])
 
 
 def test_order_cap():

@@ -193,21 +193,34 @@ def parse_graph6(line: str) -> Graph:
     return from_edge_list(n, pairs)
 
 
+def adjacency_code(n: int, pairs: Iterable[Edge]) -> int:
+    """The graph6 bits of the graph of order n with edges `pairs` (each
+    i < j), unpadded: bit j(j-1)/2 + i of the upper triangle, taken column
+    by column and most significant first, is set when ij is an edge."""
+    top = n * (n - 1) // 2 - 1
+    acc = 0
+    for i, j in pairs:
+        acc |= 1 << (top - j * (j - 1) // 2 - i)
+    return acc
+
+
+def graph6_line(n: int, code: int) -> str:
+    """The short-form graph6 line (no trailing newline) of the graph of
+    order n whose adjacency_code is `code`: the bits, padded with zeros to a
+    multiple of 6, are written 6 to a character, most significant first."""
+    if n > 62:
+        raise MalformedInputError(f"order {n} exceeds the short-form graph6 limit of 62")
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    acc = code << pad
+    return chr(63 + n) + "".join(
+        [chr(63 + (acc >> shift & 63)) for shift in range(nbits + pad - 6, -1, -6)]
+    )
+
+
 def to_graph6(G: Graph) -> str:
     """Encode a graph as one short-form graph6 line (no trailing newline)."""
-    if G.n > 62:
-        raise MalformedInputError(f"order {G.n} exceeds the short-form graph6 limit of 62")
-    # Bit j(j-1)/2 + i of the upper triangle, taken column by column, is set
-    # when ij (i < j) is an edge; the bits, padded with zeros to a multiple
-    # of 6, are written 6 to a character, most significant first.
-    nbits = G.n * (G.n - 1) // 2
-    total = nbits + -nbits % 6
-    acc = 0
-    for i, j in G.edges:
-        acc |= 1 << (total - 1 - j * (j - 1) // 2 - i)
-    return chr(63 + G.n) + "".join(
-        [chr(63 + (acc >> shift & 63)) for shift in range(total - 6, -1, -6)]
-    )
+    return graph6_line(G.n, adjacency_code(G.n, G.edges))
 
 
 def read_graph6_file(path: str) -> list[Graph]:

@@ -17,17 +17,19 @@ neighbours, so a wrong choice soon fails the adjacency check.  Elements are
 returned in a fixed order that does not depend on that search order (see
 AutGroup).
 
-The refinement (_refine_colors) iterates (color, multiset of neighbor
-colors) to a fixpoint; the colors of a round are the ranks of those keys, so
-they do not depend on vertex labels.  It keeps the cells in color order and
-recomputes a round's keys only in the cells next to a cell that split in the
-round before, as no other cell can split.  A split cell's parts, ordered by
-key, take its place in the list, and a vertex's color is the position of its
-cell.  The keys compare color first, so the rank of a key is the number of
-parts of lower-colored cells plus its rank within its own cell: that
-position.  The colors are thus those of recomputing every key every round.
-Individualizing a vertex splits its cell in place and refines from there,
-and a canonical-labelling leaf's adjacency code is set from the edge list.
+A partition is an ordered list of cells, each holding its vertices in
+increasing order, and a vertex's color is the position of its cell.  The
+refinement (_refine) iterates (color, multiset of neighbor colors) to a
+fixpoint; the colors of a round are the ranks of those keys, so they do not
+depend on vertex labels.  It recomputes a round's keys only in the cells
+next to a cell that split in the round before, as no other cell can split.
+A split cell's parts, ordered by key, take its place in the list.  The keys
+compare color first, so the rank of a key is the number of parts of
+lower-colored cells plus its rank within its own cell: that position.  The
+cells are thus those of recomputing every key every round.  Individualizing
+a vertex splits its cell in place and refines from there, and a
+canonical-labelling leaf's adjacency code (graph_core.adjacency_code, the
+graph6 bits) is set from the edge list.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .colorings import EdgeColoring, TotalColoring, VertexColoring
 from .errors import ContractError, MalformedInputError, ResourceCapError
-from .graph_core import Edge, Graph, from_edge_list, to_graph6
+from .graph_core import Edge, Graph, adjacency_code, from_edge_list, graph6_line
 
 Permutation = tuple[int, ...]
 
@@ -139,12 +141,13 @@ class AutGroup:
 # Partition refinement
 # ---------------------------------------------------------------------------
 
-def _refine_colors(G: Graph, colors: Sequence[int]) -> list[int]:
+def _refine(G: Graph, colors: Sequence[int]) -> list[list[int]]:
     """Iterate (color, multiset of neighbor colors) to a fixpoint.
 
     Each round gives every vertex the rank of its key (color, sorted
-    neighbor colors) among all keys, so the output colors are invariant
-    under relabeling.  The input colors may be any integers.
+    neighbor colors) among all keys, so the output is invariant under
+    relabeling.  The input colors may be any integers; the output is the
+    ordered list of cells, cell i holding the vertices of color i.
     """
     classes: dict[int, list[int]] = {}
     if len(set(colors)) == 1:
@@ -169,9 +172,9 @@ def _touched(parts: list[list[int]]) -> list[int]:
 
 def _refine_cells(
     adj: Sequence[Sequence[int]], cells: list[list[int]], touched: Sequence[int]
-) -> list[int]:
-    """The colors _refine_colors gives the ordered partition `cells` (cell i
-    colored i), recomputing each round only the cells next to a vertex in
+) -> list[list[int]]:
+    """The cells _refine gives the ordered partition `cells` (cell i colored
+    i), recomputing each round only the cells next to a vertex in
     `touched`.  That starts as every vertex, or as the parts that have just
     split off a cell of an equitable partition but the largest part of each
     (see _touched): a cell next to none of them cannot split.
@@ -180,6 +183,7 @@ def _refine_cells(
     end to end.  A split keeps that label for its first part, and its parts,
     ordered by their sorted neighbor labels, take its place; so labels order
     cells as their colors do, and the final color of a cell is its rank.
+    Each cell keeps its vertices in the order of `cells`.
     """
     n = len(adj)
     label = [0] * n
@@ -212,14 +216,12 @@ def _refine_cells(
                 for v in part:
                     label[v] = s
                 s += len(part)
-    colors = [0] * n
-    color = start = 0
+    out = []
+    start = 0
     while start < n:
-        for v in cell_at[start]:
-            colors[v] = color
+        out.append(cell_at[start])
         start += len(cell_at[start])
-        color += 1
-    return colors
+    return out
 
 
 def _adjacency_masks(G: Graph) -> list[int]:
@@ -306,8 +308,8 @@ def _smallest_support_automorphisms(G: Graph) -> tuple[Permutation, ...]:
     support, then in the documented element order), or all of them when
     there are fewer.  A group of at most _PRUNE_GROUP_CAP elements is listed
     and they are picked from the list; of a larger group, never listed, they
-    come from a search.  So the list is shorter than _PRUNE_SET_SIZE only
-    when it is the whole group.  Cached per graph for a larger group."""
+    come from a search, cached per graph and size.  So the list is shorter
+    than _PRUNE_SET_SIZE only when it is the whole group."""
     if _small_group(G) is not None:
         # The same cached object, taken through the public lookup whose
         # calls perfbench's per-layer trace counts.
@@ -316,21 +318,21 @@ def _smallest_support_automorphisms(G: Graph) -> tuple[Permutation, ...]:
             _PRUNE_SET_SIZE, group.nonidentity(),
             key=lambda p: sum(pi != i for i, pi in enumerate(p)),
         ))
-    return _least_support(G)
+    return _least_support(G, _PRUNE_SET_SIZE)
 
 
 @lru_cache(maxsize=32)
-def _least_support(G: Graph) -> tuple[Permutation, ...]:
+def _least_support(G: Graph, size: int) -> tuple[Permutation, ...]:
     # One search per support size, each cutting every branch that moves
     # more vertices.  No automorphism moves exactly one vertex.
     s = _search_setup(G, [0] * G.n)
     key = _element_key(s.cell_order)
     out: list[Permutation] = []
     for support in range(2, G.n + 1):
-        if len(out) >= _PRUNE_SET_SIZE:
+        if len(out) >= size:
             break
         out.extend(sorted(_automorphisms(s, support, support, math.inf), key=key))
-    return tuple(out[:_PRUNE_SET_SIZE])
+    return tuple(out[:size])
 
 
 def _has_nontrivial_automorphism(G: Graph, colors: Sequence[int]) -> bool:
@@ -359,15 +361,15 @@ class _Overflow(Exception):
 def _search_setup(G: Graph, colors: list[int]) -> _Setup:
     """Refine the colors and lay the search out over the refined cells."""
     n = G.n
-    colors = _refine_colors(G, colors)
-    members: dict[int, list[int]] = {}
-    for v in range(n):
-        members.setdefault(colors[v], []).append(v)
-    cell_order = sorted(range(n), key=lambda v: (len(members[colors[v]]), colors[v], v))
+    cells = _refine(G, colors)
+    # A stable sort: cells of one size stay in color order, each in
+    # increasing vertex order.
+    cell_order = [v for cell in sorted(cells, key=len) for v in cell]
+    cell_of = {v: cell for cell in cells for v in cell}
     masks = _adjacency_masks(G)
-    forced = sum(len(cell) == 1 for cell in members.values())
+    forced = sum(len(cell) == 1 for cell in cells)
     order = _placement_order(cell_order, forced, masks)
-    cands = [members[colors[v]] for v in order]
+    cands = [cell_of[v] for v in order]
     depth = [0] * n
     for d, v in enumerate(order):
         depth[v] = d
@@ -459,33 +461,14 @@ def _placement_order(cell_order: list[int], forced: int, masks: list[int]) -> li
 # Canonical labeling (individualization-refinement, minimum adjacency code)
 # ---------------------------------------------------------------------------
 
-def _individualize(G: Graph, colors: list[int], v: int) -> list[int]:
-    """Give v a color of its own, just below the rest of its cell, and
-    refine.  colors must be refined already (an output of _refine_colors),
-    so only the cells next to v can split first."""
-    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
-    for u, color in enumerate(colors):
-        cells[color].append(u)
-    c = colors[v]
-    if len(cells[c]) == 1:
-        return colors
-    cells[c : c + 1] = [[v], [u for u in cells[c] if u != v]]
-    return _refine_cells(G.adj, cells, [v])
-
-
-def _code_for(G: Graph, colors: list[int]) -> tuple[int, Permutation]:
-    """The adjacency code of the graph relabelled by discrete colors
-    (colors[v] is v's new index): bit j(j-1)/2 + i of the upper triangle,
-    taken column by column and most significant first, is set when the
-    vertices at i < j are adjacent."""
-    total = G.n * (G.n - 1) // 2
-    acc = 0
-    for u, v in G.edges:
-        i, j = colors[u], colors[v]
-        if i > j:
-            i, j = j, i
-        acc |= 1 << (total - 1 - j * (j - 1) // 2 - i)
-    return acc, tuple(colors)
+def _individualize(G: Graph, cells: list[list[int]], i: int, v: int) -> list[list[int]]:
+    """Give v, a vertex of cells[i], a cell of its own just before the rest
+    of its cell, and refine.  cells must be refined already (an output of
+    _refine), so only the cells next to v can split first."""
+    if len(cells[i]) == 1:
+        return cells
+    split = [[v], [u for u in cells[i] if u != v]]
+    return _refine_cells(G.adj, cells[:i] + split + cells[i + 1 :], [v])
 
 
 def canonical_labeling(G: Graph) -> tuple[Permutation, int]:
@@ -495,21 +478,18 @@ def canonical_labeling(G: Graph) -> tuple[Permutation, int]:
     the graph, so code equality decides isomorphism.  Automorphisms found
     along the way prune equivalent branches.
     """
-    base = _refine_colors(G, [0] * G.n)
+    n = G.n
     best: dict = {"code": None, "perm": None}
     autos: list[Permutation] = []
 
-    def rec(colors: list[int], path: tuple[int, ...]) -> None:
-        cells: dict[int, list[int]] = {}
-        for v in range(G.n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            code, perm = _code_for(G, colors)
+    def rec(cells: list[list[int]], path: tuple[int, ...]) -> None:
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is None:
+            # A discrete partition: v's new index is the position of its cell.
+            perm = invert([v for (v,) in cells])
+            code = adjacency_code(n, [
+                (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u]) for u, v in G.edges
+            ])
             if best["code"] is None or code < best["code"]:
                 best["code"], best["perm"] = code, perm
             elif code == best["code"]:
@@ -517,7 +497,7 @@ def canonical_labeling(G: Graph) -> tuple[Permutation, int]:
                 autos.append(compose(invert(perm), best["perm"]))
             return
         explored: list[int] = []
-        for v in sorted(target):
+        for v in cells[i]:
             skip = False
             for a in autos:
                 if all(a[x] == x for x in path) and any(a[w] == v for w in explored):
@@ -526,16 +506,16 @@ def canonical_labeling(G: Graph) -> tuple[Permutation, int]:
             if skip:
                 continue
             explored.append(v)
-            rec(_individualize(G, colors, v), path + (v,))
+            rec(_individualize(G, cells, i, v), path + (v,))
 
-    rec(base, ())
+    rec(_refine(G, [0] * n), ())
     return best["perm"], best["code"]
 
 
 def canonical_form(G: Graph) -> str:
     """graph6 string of the canonically relabelled graph; a dedup key."""
-    perm, _ = canonical_labeling(G)
-    return to_graph6(permute_graph(G, perm))
+    _, code = canonical_labeling(G)
+    return graph6_line(G.n, code)
 
 
 def is_isomorphic(G: Graph, H: Graph) -> Optional[Permutation]:

@@ -317,6 +317,23 @@ def test_witnesses_are_pinned_without_listing_groups(corpus, monkeypatch):
     assert calls["select"] > 500 and calls["decide"] > 500
 
 
+def test_prune_set_size_change_gives_no_stale_prune_set(monkeypatch):
+    # K1,8's 40,320 automorphisms are never listed, so its prune set comes
+    # from the cached support-bounded search.  A list cached at a smaller
+    # set size must not be handed out once the size is back: the leaf
+    # decider is passed only for a full list, and without it D(K1,8) would
+    # come out as a certified 4.
+    star = star_graph(8)
+    symmetry._least_support.cache_clear()
+    monkeypatch.setattr(symmetry, "_PRUNE_SET_SIZE", 4)
+    assert len(symmetry._smallest_support_automorphisms(star)) == 4
+    monkeypatch.undo()
+    clear_invariant_cache()
+    iv = distinguishing_number(star)
+    assert (iv.value, iv.certified) == (8, True)
+    assert is_distinguishing(star, iv.witness)
+
+
 def test_large_group_is_never_listed(monkeypatch):
     # S(K1,9) has 362,880 automorphisms; D must not list more than 6,001.
     real = symmetry._enumerate_automorphisms

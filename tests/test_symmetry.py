@@ -8,6 +8,7 @@ from symbreak.colorings import EdgeColoring, TotalColoring, VertexColoring
 from symbreak import symmetry
 from symbreak.errors import ContractError, MalformedInputError, ResourceCapError
 from symbreak.graph_core import (
+    adjacency_code,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -18,14 +19,15 @@ from symbreak.graph_core import (
     path_graph,
     read_graph6_file,
     star_graph,
+    to_graph6,
 )
 from symbreak.symmetry import (
-    _code_for,
     _individualize,
-    _refine_colors,
+    _refine,
     _smallest_support_automorphisms,
     automorphism_group,
     canonical_form,
+    canonical_labeling,
     compose,
     edge_action,
     edge_index_action,
@@ -203,14 +205,42 @@ def test_canonical_form_constant_on_classes(corpus):
             assert canonical_form(permute_graph(G, tuple(p))) == key
 
 
+def test_canonical_form_is_the_relabelled_graph6():
+    # canonical_form writes its line from the leaf code; it must be the
+    # graph6 of the graph relabelled by canonical_labeling.  Orders 1..62
+    # cover every residue of n(n-1)/2 mod 6, which sets the padding.
+    rng = random.Random(1616)
+    for n in range(1, 63):
+        density = rng.choice((0.1, 0.3, 0.5))
+        pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        G = from_edge_list(n, pairs)
+        assert canonical_form(G) == to_graph6(permute_graph(G, canonical_labeling(G)[0])), n
+    for encode in (to_graph6, canonical_form):
+        with pytest.raises(MalformedInputError):
+            encode(path_graph(63))
+
+
 def test_refinement_matches_the_reference():
     # The split-queue refinement, individualization and leaf code must give
     # exactly the colors and codes of the plain versions kept in oracles.py:
     # canonical forms and the documented element order rest on them.  The
     # graphs are random, of order 2..30 at several densities, plus the
     # middle graphs (up to 28 vertices, symmetric more often) of random
-    # graphs of order 3..7.
+    # graphs of order 3..7.  A cell list is compared as the colors it gives
+    # (a vertex's color is its cell's position), and each cell must keep its
+    # vertices in increasing order.
     rng = random.Random(1414)
+
+    def colors_of(cells):
+        assert all(cell == sorted(cell) for cell in cells), cells
+        colors = [0] * sum(map(len, cells))
+        for c, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = c
+        return colors
+
+    def cells_of(colors):
+        return [[v for v in range(len(colors)) if colors[v] == c] for c in range(max(colors) + 1)]
 
     def random_graph(n):
         density = rng.choice((0.08, 0.15, 0.3, 0.6))
@@ -229,7 +259,7 @@ def test_refinement_matches_the_reference():
             [rng.choice((0, 0, 0, 0, -1, -6)) for _ in range(n)],
         ]
         for colors in colorings:
-            assert _refine_colors(G, colors) == reference_refine_colors(G, list(colors)), (
+            assert colors_of(_refine(G, colors)) == reference_refine_colors(G, list(colors)), (
                 G.edges,
                 colors,
             )
@@ -237,12 +267,13 @@ def test_refinement_matches_the_reference():
         deeper = reference_individualize(G, base, rng.randrange(n))
         for colors in (base, deeper):
             for v in range(n):  # singleton cells included
-                assert _individualize(G, colors, v) == reference_individualize(
-                    G, colors, v
-                ), (G.edges, colors, v)
+                assert colors_of(
+                    _individualize(G, cells_of(colors), colors[v], v)
+                ) == reference_individualize(G, colors, v), (G.edges, colors, v)
         for _ in range(3):
             discrete = rng.sample(range(n), n)
-            assert _code_for(G, discrete) == reference_code_for(G, discrete)
+            pairs = [tuple(sorted((discrete[u], discrete[v]))) for u, v in G.edges]
+            assert adjacency_code(n, pairs) == reference_code_for(G, discrete)[0]
 
 
 @pytest.fixture(scope="module")

@@ -11,11 +11,16 @@ many vertices.  A coloring none of them preserves is decided, when the group
 may hold more, by a search whose refinement starts from the coloring.  Every
 search backtracks over an iterated degree/neighborhood refinement of the
 vertex set and validates adjacency incrementally, so leaves of the search
-tree are exactly the automorphisms.  It places the vertices of singleton
-cells first, then always the unplaced vertex with the most placed
-neighbours, so a wrong choice soon fails the adjacency check.  Elements are
-returned in a fixed order that does not depend on that search order (see
-AutGroup).
+tree are exactly the automorphisms.  It fixes the vertices of singleton
+cells, then always places the unplaced vertex with the most placed
+neighbours, so a wrong choice soon fails the adjacency check; a vertex's
+candidates are a bitmask of its cell ANDed with the neighbourhoods of its
+placed neighbours' images.  A group is listed from a stabilizer chain
+found by one such search: it walks the identity path, and each branch off
+it stops at its first leaf, a coset representative.  The group order, the
+product of the orbit lengths, is checked against the cap before any
+element is built; the elements are the products of representatives, sorted
+into a fixed order that does not depend on the search (see AutGroup).
 
 A partition is an ordered list of cells, each holding its vertices in
 increasing order, and a vertex's color is the position of its cell.  The
@@ -37,8 +42,9 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .colorings import EdgeColoring, TotalColoring, VertexColoring
@@ -112,11 +118,16 @@ class AutGroup:
 
     Element order: sort the vertices by (size of their refined colour cell,
     cell colour, index); the elements come in lexicographic order of their
-    images read in that vertex order.  The identity is always first.
+    images read in that vertex order.  The identity is always first.  The
+    elements are built as products of coset representatives of a stabilizer
+    chain and then sorted into that order, so it does not depend on how
+    they were found.
     """
 
     n: int
     elements: tuple[Permutation, ...]
+    # The prune sets picked from the elements, by set size.
+    _by_support: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -283,8 +294,8 @@ def _cached_group(G: Graph, limit: int) -> Optional[AutGroup]:
 def _enumerate_automorphisms(
     G: Graph, max_vertices: Optional[int], max_order: int
 ) -> Optional[AutGroup]:
-    """The whole group in the documented order, or None once it is known to
-    have more than max_order elements."""
+    """The whole group in the documented order, or None if it has more than
+    max_order elements.  The order is known before any element is built."""
     n = G.n
     cap = vertex_cap(max_vertices, DEFAULT_VERTEX_CAP)
     if n > cap:
@@ -293,31 +304,49 @@ def _enumerate_automorphisms(
             "(set SYMBREAK_MAX_VERTICES to override)"
         )
     s = _search_setup(G, [0] * n)
-    found = _automorphisms(s, 0, n, max_order)
-    if found is None:
+    # A stabilizer chain along s.order: chain[d] gets, for each vertex
+    # w != s.order[d] in the orbit of s.order[d] under G_d (the pointwise
+    # stabilizer of s.order[:d]), the first leaf of the branch off the
+    # identity path that maps s.order[d] to w, by increasing w; a depth
+    # with none is no key.  A branch with no leaf has w outside the orbit.
+    # So |G_d| is |G_{d+1}| times one more than the number at depth d.
+    chain: dict[int, list[Permutation]] = {}
+    _automorphisms(s, 1, n, 0, chain)
+    if math.prod(len(reps) + 1 for reps in chain.values()) > max_order:
         return None
-    if s.order != s.cell_order:
-        # The search emits elements in lexicographic order of their images
-        # along `order`; restore the documented order along `cell_order`.
-        found.sort(key=_element_key(s.cell_order))
-    return AutGroup(n=n, elements=tuple(found))
+    # Bottom up: G_d is G_{d+1} followed by the coset g G_{d+1} of each
+    # representative g at depth d.
+    elements = [identity_permutation(n)]
+    for d in sorted(chain, reverse=True):
+        below = elements[1:]  # G_{d+1} but the identity
+        for g in chain[d]:
+            elements.append(g)
+            elements += [tuple(map(g.__getitem__, h)) for h in below]
+    if len(elements) > 2:  # else the identity is already first
+        elements.sort(key=_element_key(s, len(elements)))
+    return AutGroup(n=n, elements=tuple(elements))
 
 
 def _smallest_support_automorphisms(G: Graph) -> tuple[Permutation, ...]:
     """The _PRUNE_SET_SIZE non-identity automorphisms of least support (by
     support, then in the documented element order), or all of them when
     there are fewer.  A group of at most _PRUNE_GROUP_CAP elements is listed
-    and they are picked from the list; of a larger group, never listed, they
-    come from a search, cached per graph and size.  So the list is shorter
-    than _PRUNE_SET_SIZE only when it is the whole group."""
+    and they are picked from the list once per set size, cached on the
+    group; of a larger group, never listed, they come from a search, cached
+    per graph and size.  So the list is shorter than _PRUNE_SET_SIZE only
+    when it is the whole group."""
     if _small_group(G) is not None:
         # The same cached object, taken through the public lookup whose
         # calls perfbench's per-layer trace counts.
         group = automorphism_group(G)
-        return tuple(heapq.nsmallest(  # stable: ties keep the element order
-            _PRUNE_SET_SIZE, group.nonidentity(),
-            key=lambda p: sum(pi != i for i, pi in enumerate(p)),
-        ))
+        picked = group._by_support.get(_PRUNE_SET_SIZE)
+        if picked is None:
+            fixed = range(G.n)
+            picked = group._by_support[_PRUNE_SET_SIZE] = tuple(heapq.nsmallest(
+                _PRUNE_SET_SIZE, group.nonidentity(),  # stable: ties keep the element order
+                key=lambda p: sum(map(ne, p, fixed)),
+            ))
+        return picked
     return _least_support(G, _PRUNE_SET_SIZE)
 
 
@@ -326,12 +355,12 @@ def _least_support(G: Graph, size: int) -> tuple[Permutation, ...]:
     # One search per support size, each cutting every branch that moves
     # more vertices.  No automorphism moves exactly one vertex.
     s = _search_setup(G, [0] * G.n)
-    key = _element_key(s.cell_order)
     out: list[Permutation] = []
     for support in range(2, G.n + 1):
         if len(out) >= size:
             break
-        out.extend(sorted(_automorphisms(s, support, support, math.inf), key=key))
+        found = _automorphisms(s, support, support, math.inf)
+        out.extend(sorted(found, key=_element_key(s, len(found))))
     return tuple(out[:size])
 
 
@@ -348,14 +377,11 @@ def _has_nontrivial_automorphism(G: Graph, colors: Sequence[int]) -> bool:
 
 class _Setup(NamedTuple):
     cell_order: list[int]  # fixes the element order
-    order: list[int]  # the order vertices are placed in
-    cands: list[list[int]]  # per depth: the candidate cell of order[d]
+    forced: int  # the vertices of singleton cells, which every automorphism fixes
+    order: list[int]  # the order vertices are placed in, those `forced` first
+    cell_masks: list[int]  # per depth: the bitmask of the cell of order[d]
     prior_nbrs: list[list[int]]  # per depth: the already-placed neighbours of order[d]
     masks: list[int]
-
-
-class _Overflow(Exception):
-    pass
 
 
 def _search_setup(G: Graph, colors: list[int]) -> _Setup:
@@ -365,11 +391,18 @@ def _search_setup(G: Graph, colors: list[int]) -> _Setup:
     # A stable sort: cells of one size stay in color order, each in
     # increasing vertex order.
     cell_order = [v for cell in sorted(cells, key=len) for v in cell]
-    cell_of = {v: cell for cell in cells for v in cell}
-    masks = _adjacency_masks(G)
     forced = sum(len(cell) == 1 for cell in cells)
+    if forced == n:  # discrete: every search starts at its only leaf
+        return _Setup(cell_order, n, cell_order, [], [], [])
+    masks = _adjacency_masks(G)
     order = _placement_order(cell_order, forced, masks)
-    cands = [cell_of[v] for v in order]
+    cell_mask = [0] * n
+    for cell in cells:
+        bits = 0
+        for v in cell:
+            bits |= 1 << v
+        for v in cell:
+            cell_mask[v] = bits
     depth = [0] * n
     for d, v in enumerate(order):
         depth[v] = d
@@ -378,60 +411,84 @@ def _search_setup(G: Graph, colors: list[int]) -> _Setup:
         for u in G.adj[v]:
             if depth[u] > d:
                 prior_nbrs[depth[u]].append(v)
-    return _Setup(cell_order, order, cands, prior_nbrs, masks)
+    return _Setup(cell_order, forced, order, [cell_mask[v] for v in order], prior_nbrs, masks)
 
 
 def _automorphisms(
-    s: _Setup, lo: int, hi: int, limit: float
+    s: _Setup, lo: int, hi: int, limit: float, chain: Optional[dict[int, list[Permutation]]] = None
 ) -> Optional[list[Permutation]]:
     """The automorphisms that keep every refined cell and move at least lo
     and at most hi vertices, in lexicographic order of their images along
     s.order; None as soon as more than `limit` are found.  A branch is cut
-    as soon as it must move more than hi vertices."""
-    order, cands, prior_nbrs, masks = s.order, s.cands, s.prior_nbrs, s.masks
+    as soon as it must move more than hi vertices.
+
+    Given `chain`, a dict, each branch that leaves the identity path at
+    depth d stops instead at its first such automorphism, which goes to the
+    list chain[d], and the search goes on with the next branch."""
+    order, cell_masks, prior_nbrs, masks = s.order, s.cell_masks, s.prior_nbrs, s.masks
     n = len(order)
     image = [-1] * n
-    used = [False] * n
+    used = 0
+    for v in order[: s.forced]:
+        image[v] = v
+        used |= 1 << v
     found: list[Permutation] = []
 
-    def rec(d: int, used_mask: int, moved: int) -> None:
+    def rec(d: int, used: int, moved: int) -> bool:
+        # True, with image as it was, once more than `limit` are found.
         if d == n:
             if moved >= lo:
                 found.append(tuple(image))
-                if len(found) > limit:
-                    raise _Overflow
-            return
+                return len(found) > limit
+            return False
+        # The candidates: the unused vertices of v's cell next to the images
+        # of all of v's placed neighbours, lowest first.
+        v = order[d]
+        pool = cell_masks[d] & ~used
         want = 0
         for u in prior_nbrs[d]:
-            want |= 1 << image[u]
-        v = order[d]
-        for w in cands[d]:
-            if used[w] or masks[w] & used_mask != want:
+            x = image[u]
+            pool &= masks[x]
+            want |= 1 << x
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            w = low.bit_length() - 1
+            if masks[w] & used != want:  # next to another placed image
                 continue
             # moved counts the vertices no completion can fix: each x with
-            # image[x] != x, and each such image (its preimage is not itself).
-            m = moved if w == v else moved + (not used[v]) + (image[w] < 0)
+            # image[x] != x, and each such image (its preimage is not
+            # itself).  So it is 0 exactly on the identity path.
+            m = moved if w == v else moved + (not used >> v & 1) + (image[w] < 0)
             if m > hi:
                 continue
             image[v] = w
-            used[w] = True
-            rec(d + 1, used_mask | (1 << w), m)
-            used[w] = False
+            if rec(d + 1, used | low, m):
+                if chain is not None and not moved:
+                    chain.setdefault(d, []).append(found.pop())
+                    continue
+                image[v] = -1
+                return True
         image[v] = -1
+        return False
 
-    try:
-        rec(0, 0, 0)
-    except _Overflow:
+    if rec(s.forced, used, 0):
         return None
     return found
 
 
-def _element_key(cell_order: list[int]) -> Callable[[Permutation], object]:
-    """Sort key of the documented element order.  Byte keys keep the sort's
-    memory small for the factorial groups."""
-    if len(cell_order) <= 256:
-        return lambda p: bytes([p[v] for v in cell_order])
-    return lambda p: [p[v] for v in cell_order]
+def _element_key(s: _Setup, count: int) -> Optional[Callable[[Permutation], object]]:
+    """Sort key of the documented element order for `count` elements of a
+    nontrivial group, read over the vertices of non-singleton cells (every
+    automorphism fixes the rest).  None, the plain tuple order, when those
+    come in increasing order.  Else tuple keys are the quickest to build;
+    past _PRUNE_GROUP_CAP elements byte keys keep the sort's memory small."""
+    free = s.cell_order[s.forced :]
+    if free == sorted(free):
+        return None
+    if count > _PRUNE_GROUP_CAP and len(s.cell_order) <= 256:
+        return lambda p: bytes([p[v] for v in free])
+    return itemgetter(*free)
 
 
 def _placement_order(cell_order: list[int], forced: int, masks: list[int]) -> list[int]:

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symbreak
 from symbreak.cli import main
 from symbreak.graph_core import (
     complete_graph,
@@ -324,15 +330,39 @@ _INPUT_ERRORS = {
     "edgeless Dp": (None, ("invariant", "--which", "Dp", "--graph6", "@")),
     "jobs 0": (None, ("verify", "--theorem", "thm-3.3", "--builtin", "3", "--jobs", "0")),
     "empty order range": (None, ("verify", "--theorem", "thm-3.3", "--builtin", "2")),
+    # K1,11: 39,916,800 automorphisms, past the order cap; refused before
+    # any element is built.
+    "aut past the order cap": (None, ("aut", "--graph6", "KsaCCA?_C?O?")),
     **{f"SYMBREAK_MAX_VERTICES=x on {argv[0]}": ("x", argv) for argv in _EVERY_SUBCOMMAND},
 }
 
+# Each row runs in a child process whose address space is capped, so that a
+# row that starts building a huge group fails with MemoryError within
+# seconds instead of filling the machine's memory.
+_CHILD_ADDRESS_SPACE = 1 << 30
+_CHILD_MAIN = "import sys; from symbreak.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _limit_address_space():
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = _CHILD_ADDRESS_SPACE
+    if hard != resource.RLIM_INFINITY:
+        soft = min(soft, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
 
 @pytest.mark.parametrize("env, argv", _INPUT_ERRORS.values(), ids=list(_INPUT_ERRORS))
-def test_input_and_environment_errors_exit_two(capsys, monkeypatch, tmp_path, env, argv):
+def test_input_and_environment_errors_exit_two(tmp_path, env, argv):
+    child_env = dict(os.environ, PYTHONPATH=str(Path(symbreak.__file__).parents[1]))
+    child_env.pop("SYMBREAK_MAX_VERTICES", None)
     if env is not None:
-        monkeypatch.setenv("SYMBREAK_MAX_VERTICES", env)
-    code, _, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
-    assert code == 2
+        child_env["SYMBREAK_MAX_VERTICES"] = env
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD_MAIN, *(a.replace("{tmp}", str(tmp_path)) for a in argv)],
+        env=child_env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    err = done.stderr
+    assert done.returncode == 2, err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err

@@ -2,23 +2,27 @@
 
 The graphs are randomly labelled, unlike the canonically labelled corpus
 graphs the other oracle tests see: each is a random tree (on 5-7 vertices,
-or 4-6 for the proper-search scan) plus up to three chords, with its
-vertices shuffled.
+4-6 for the proper-search scan, 2-9 for the element listing) plus up to
+three chords, with its vertices shuffled.
 """
 
 import itertools
 import random
 
-from symbreak.graph_core import from_edge_list
+import pytest
+
+from symbreak.errors import ResourceCapError
+from symbreak.graph_core import complete_graph, from_edge_list, star_graph
 from symbreak.invariants import INVARIANT_FUNCTIONS, _KINDS, _search_palette
 from symbreak.symmetry import automorphism_group, is_isomorphic
-from symbreak.transforms import line_graph, middle_graph
+from symbreak.transforms import endline_graph, line_graph, middle_graph, subdivision_graph
 
 from oracles import (
     backtrack_automorphisms,
     brute_is_isomorphic,
     least_valid_vector,
     naive_invariant,
+    reference_refine_colors,
 )
 
 
@@ -38,6 +42,50 @@ def test_automorphism_group_matches_backtracking_oracle():
         aut = automorphism_group(G)
         want = set(backtrack_automorphisms(G))
         assert set(aut.elements) == want and aut.order == len(want), G.edges
+
+
+def _documented_order(G):
+    """The oracle's automorphisms in the order AutGroup documents: by their
+    images read along the vertices sorted by (refined cell size, cell
+    colour, index)."""
+    colors = reference_refine_colors(G, [0] * G.n)
+    size = [colors.count(c) for c in colors]
+    vertices = sorted(range(G.n), key=lambda v: (size[v], colors[v], v))
+    return sorted(backtrack_automorphisms(G), key=lambda p: [p[v] for v in vertices])
+
+
+def test_element_listing_matches_the_oracle_in_the_documented_order():
+    # Random graphs of order 2-9 and their four transforms, and K7's four
+    # transforms (5,040 elements each): the listing built from the
+    # stabilizer chain must be exactly the oracle's elements in order.
+    rng = random.Random(1717)
+    bases = [_random_graph(rng, n) for n in range(2, 10) for _ in range(3)]
+    graphs = [
+        H
+        for G in bases
+        for H in (G, line_graph(G), endline_graph(G), subdivision_graph(G), middle_graph(G))
+    ]
+    K7 = complete_graph(7)
+    graphs += [line_graph(K7), endline_graph(K7), subdivision_graph(K7), middle_graph(K7)]
+    discrete = 0
+    for H in graphs:
+        assert automorphism_group(H).elements == tuple(_documented_order(H)), H.edges
+        discrete += len(set(reference_refine_colors(H, [0] * H.n))) == H.n
+    assert discrete >= 10
+    assert max(len(automorphism_group(H)) for H in graphs[:-4]) >= 8
+
+
+@pytest.mark.parametrize(
+    "G, order",
+    [(complete_graph(5), 120), (line_graph(complete_graph(6)), 720),
+     (subdivision_graph(star_graph(7)), 5040)],
+    ids=["K5", "L(K6)", "S(K1,7)"],
+)
+def test_order_cap_boundary(G, order):
+    assert automorphism_group(G, max_order=order).elements == automorphism_group(G).elements
+    assert len(automorphism_group(G, max_order=order)) == order
+    with pytest.raises(ResourceCapError):
+        automorphism_group(G, max_order=order - 1)
 
 
 def test_isomorphism_witness_for_random_relabelling():

@@ -120,6 +120,25 @@ def test_element_order_is_pinned(corpus):
     )
 
 
+def test_large_group_order_with_interleaved_cells():
+    # S(K1,8) with its 8 leaves and 8 edge vertices swapping labels, so the
+    # documented vertex order is not increasing: its 40,320 elements are
+    # sorted by byte keys.  They must be the conjugates of the elements of
+    # S(K1,8), in the order the reference refinement documents.
+    S = subdivision_graph(star_graph(8))
+    relabel = (0, *range(9, 17), *range(1, 9))
+    H = from_edge_list(S.n, [(relabel[u], relabel[v]) for u, v in S.edges])
+    back = invert(relabel)
+    want = {tuple(relabel[p[back[x]]] for x in range(H.n)) for p in automorphism_group(S)}
+    colors = reference_refine_colors(H, [0] * H.n)
+    size = [colors.count(c) for c in colors]
+    vertices = sorted(range(H.n), key=lambda v: (size[v], colors[v], v))
+    assert vertices != sorted(vertices)
+    elements = automorphism_group(H).elements
+    assert len(elements) == 40320 and set(elements) == want
+    assert list(elements) == sorted(elements, key=lambda p: [p[v] for v in vertices])
+
+
 @pytest.mark.parametrize(
     "G, order",
     [(parse_graph6("FqG^w"), 12), (parse_graph6("FwC^w"), 72), (cycle_graph(8), 32)],

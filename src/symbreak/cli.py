@@ -71,13 +71,7 @@ def _coloring_json(witness) -> object:
     if isinstance(witness, EdgeColoring):
         return {"edges": {f"{u},{v}": c for (u, v), c in zip(witness.edges, witness.colors)}}
     if isinstance(witness, TotalColoring):
-        return {
-            "vertices": {str(v): c for v, c in enumerate(witness.vertex_part.colors)},
-            "edges": {
-                f"{u},{v}": c
-                for (u, v), c in zip(witness.edge_part.edges, witness.edge_part.colors)
-            },
-        }
+        return {**_coloring_json(witness.vertex_part), **_coloring_json(witness.edge_part)}
     raise SymbreakError(f"cannot serialize witness of type {type(witness).__name__}")
 
 
@@ -253,10 +247,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # per-record errors and read as a counterexample.
         vertex_cap(None, DEFAULT_VERTEX_CAP)
         return args.func(args)
-    except SymbreakError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SymbreakError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,13 +70,9 @@ class CorpusSpec:
     non_cycle: bool = False
 
     def describe(self) -> str:
-        if self.source == "builtin":
-            return (
-                f"builtin:orders={self.min_order}..{self.max_order},"
-                f"connected={self.connected_only},non_cycle={self.non_cycle}"
-            )
+        prefix = "builtin:" if self.source == "builtin" else f"file:{self.path},"
         return (
-            f"file:{self.path},orders={self.min_order}..{self.max_order},"
+            f"{prefix}orders={self.min_order}..{self.max_order},"
             f"connected={self.connected_only},non_cycle={self.non_cycle}"
         )
 

@@ -441,12 +441,11 @@ def _edge_action(G: Graph, perms: Sequence[Permutation]) -> list[Permutation]:
 
 def _late_vertex_prune(G: Graph) -> Sequence[Permutation]:
     """The vertex automorphisms of least support for the orbit prune alone,
-    or none where the automorphism caps would refuse G."""
+    or none where the automorphism caps refuse G."""
     try:
-        refused = G.n > vertex_cap(None, symmetry.DEFAULT_VERTEX_CAP)
-    except MalformedInputError:
-        refused = True
-    return () if refused else _smallest_support_automorphisms(G)
+        return _smallest_support_automorphisms(G)
+    except (ResourceCapError, MalformedInputError):
+        return ()
 
 
 def _vertex_decider(G: Graph) -> Callable[[list[int]], bool]:

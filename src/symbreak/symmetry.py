@@ -2,12 +2,14 @@
 
 Groups of at most _PRUNE_GROUP_CAP elements are listed in full, so
 stabilizers and distinguishing checks reduce to plain filters over the
-element list; automorphism_group lists a larger group too when asked.  The
-invariant searches take only the _PRUNE_SET_SIZE non-identity elements of
-least support (_smallest_support_automorphisms) for their orbit prune and
-stabilizer cut.  They are picked from a listed group; a larger group is
-never listed, and they come from a search that cuts every branch moving too
-many vertices.  A coloring none of them preserves is decided, when the group
+element list; automorphism_group lists a larger group too when asked.  Each
+listing is cached per graph (_cached_group), and the caps are checked on
+every call before the cache is read.  The invariant searches take only the
+_PRUNE_SET_SIZE non-identity elements of least support
+(_smallest_support_automorphisms) for their orbit prune and stabilizer
+cut, cached per graph too.  They are picked from a listed group; a larger
+group is never listed, and they come from a search that cuts every branch
+moving too many vertices.  A coloring none of them preserves is decided, when the group
 may hold more, by a search whose refinement starts from the coloring.  Every
 search backtracks over an iterated degree/neighborhood refinement of the
 vertex set and validates adjacency incrementally, so leaves of the search
@@ -42,7 +44,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -126,8 +128,6 @@ class AutGroup:
 
     n: int
     elements: tuple[Permutation, ...]
-    # The prune sets picked from the elements, by set size.
-    _by_support: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -247,8 +247,8 @@ def _adjacency_masks(G: Graph) -> list[int]:
 # Automorphism group enumeration
 # ---------------------------------------------------------------------------
 
-# The invariant searches list a group of at most this many elements, and
-# never a larger one.
+# automorphism_group looks a graph up at this cap first; the invariant
+# searches list a group of at most this many elements, and never a larger one.
 _PRUNE_GROUP_CAP = 6000
 # The orbit prune and stabilizer cut of the invariant searches scan this many
 # group elements of least support at every node.  More cost more per node
@@ -264,45 +264,35 @@ def automorphism_group(
 ) -> AutGroup:
     """Enumerate every adjacency-preserving bijection of G.
 
-    Provenance labels are ignored: this is pure graph symmetry.  Raises
+    Provenance labels are ignored: this is pure graph symmetry.  Calls are
+    cached per graph, whatever the caps; both caps are checked on every
+    call, so a cached group is refused past a lowered cap.  Raises
     ResourceCapError if the graph order or the group order exceeds its cap.
-    Default calls are cached per graph.
     """
-    if max_vertices is None and max_order == DEFAULT_ORDER_CAP:
-        group = _small_group(G)
-        if group is None:
-            group = _cached_group(G, max_order)
-    else:
-        group = _enumerate_automorphisms(G, max_vertices, max_order)
-    if group is None:
+    _check_vertex_cap(G, max_vertices)
+    group = _cached_group(G, _PRUNE_GROUP_CAP)
+    if group is None and max_order > _PRUNE_GROUP_CAP:
+        group = _cached_group(G, max_order)
+    if group is None or group.order > max_order:
         raise ResourceCapError(f"automorphism group larger than cap {max_order}")
     return group
 
 
-def _small_group(G: Graph) -> Optional[AutGroup]:
-    """automorphism_group(G) if it has at most _PRUNE_GROUP_CAP elements,
-    else None; enumerates at most one element more.  Refuses G past the
-    vertex cap like automorphism_group."""
-    return _cached_group(G, _PRUNE_GROUP_CAP)
+def _check_vertex_cap(G: Graph, max_vertices: Optional[int] = None) -> None:
+    cap = vertex_cap(max_vertices, DEFAULT_VERTEX_CAP)
+    if G.n > cap:
+        raise ResourceCapError(
+            f"automorphism search refused: order {G.n} exceeds cap {cap} "
+            "(set SYMBREAK_MAX_VERTICES to override)"
+        )
 
 
 @lru_cache(maxsize=32)
-def _cached_group(G: Graph, limit: int) -> Optional[AutGroup]:
-    return _enumerate_automorphisms(G, None, limit)
-
-
-def _enumerate_automorphisms(
-    G: Graph, max_vertices: Optional[int], max_order: int
-) -> Optional[AutGroup]:
+def _cached_group(G: Graph, max_order: int) -> Optional[AutGroup]:
     """The whole group in the documented order, or None if it has more than
-    max_order elements.  The order is known before any element is built."""
+    max_order elements.  The order is known before any element is built.
+    The callers check the vertex cap."""
     n = G.n
-    cap = vertex_cap(max_vertices, DEFAULT_VERTEX_CAP)
-    if n > cap:
-        raise ResourceCapError(
-            f"automorphism search refused: order {n} exceeds cap {cap} "
-            "(set SYMBREAK_MAX_VERTICES to override)"
-        )
     s = _search_setup(G, [0] * n)
     # A stabilizer chain along s.order: chain[d] gets, for each vertex
     # w != s.order[d] in the orbit of s.order[d] under G_d (the pointwise
@@ -330,30 +320,26 @@ def _enumerate_automorphisms(
 def _smallest_support_automorphisms(G: Graph) -> tuple[Permutation, ...]:
     """The _PRUNE_SET_SIZE non-identity automorphisms of least support (by
     support, then in the documented element order), or all of them when
-    there are fewer.  A group of at most _PRUNE_GROUP_CAP elements is listed
-    and they are picked from the list once per set size, cached on the
-    group; of a larger group, never listed, they come from a search, cached
-    per graph and size.  So the list is shorter than _PRUNE_SET_SIZE only
-    when it is the whole group."""
-    if _small_group(G) is not None:
-        # The same cached object, taken through the public lookup whose
-        # calls perfbench's per-layer trace counts.
-        group = automorphism_group(G)
-        picked = group._by_support.get(_PRUNE_SET_SIZE)
-        if picked is None:
-            fixed = range(G.n)
-            picked = group._by_support[_PRUNE_SET_SIZE] = tuple(heapq.nsmallest(
-                _PRUNE_SET_SIZE, group.nonidentity(),  # stable: ties keep the element order
-                key=lambda p: sum(map(ne, p, fixed)),
-            ))
-        return picked
+    there are fewer, so the list is shorter than _PRUNE_SET_SIZE only when
+    it is the whole group.  Refused past the vertex cap like
+    automorphism_group, before the cache is read."""
+    _check_vertex_cap(G)
     return _least_support(G, _PRUNE_SET_SIZE)
 
 
 @lru_cache(maxsize=32)
 def _least_support(G: Graph, size: int) -> tuple[Permutation, ...]:
-    # One search per support size, each cutting every branch that moves
-    # more vertices.  No automorphism moves exactly one vertex.
+    if _cached_group(G, _PRUNE_GROUP_CAP) is not None:
+        # Picked from the listed group, taken through the public lookup
+        # whose calls perfbench's per-layer trace counts.
+        fixed = range(G.n)
+        return tuple(heapq.nsmallest(
+            size, automorphism_group(G).nonidentity(),  # stable: ties keep the element order
+            key=lambda p: sum(map(ne, p, fixed)),
+        ))
+    # A larger group is never listed: one search per support size, each
+    # cutting every branch that moves more vertices.  No automorphism moves
+    # exactly one vertex.
     s = _search_setup(G, [0] * G.n)
     out: list[Permutation] = []
     for support in range(2, G.n + 1):

@@ -336,14 +336,14 @@ def test_prune_set_size_change_gives_no_stale_prune_set(monkeypatch):
 
 def test_large_group_is_never_listed(monkeypatch):
     # S(K1,9) has 362,880 automorphisms; D must not list more than 6,001.
-    real = symmetry._enumerate_automorphisms
+    real = symmetry._cached_group
+    real.cache_clear()
 
-    def at_most_6001(G, max_vertices, max_order):
+    def at_most_6001(G, max_order):
         assert max_order <= 6000, "asked to list more than 6,001 elements"
-        return real(G, max_vertices, max_order)
+        return real(G, max_order)
 
-    monkeypatch.setattr(symmetry, "_enumerate_automorphisms", at_most_6001)
-    symmetry._cached_group.cache_clear()
+    monkeypatch.setattr(symmetry, "_cached_group", at_most_6001)
     clear_invariant_cache()
     iv = distinguishing_number(subdivision_graph(star_graph(9)))
     assert (iv.value, iv.certified) == (3, True)
@@ -353,14 +353,14 @@ def test_large_group_is_never_listed(monkeypatch):
 def test_edge_and_total_kinds_never_list_a_large_group(monkeypatch):
     # K1,8 has 40,320 automorphisms; Dp, chiDp and Dpp must not list more than
     # 6,001 of them, and keep the witnesses they had when they listed all.
-    real = symmetry._enumerate_automorphisms
+    real = symmetry._cached_group
+    real.cache_clear()
 
-    def at_most_6001(G, max_vertices, max_order):
+    def at_most_6001(G, max_order):
         assert max_order <= 6000, "asked to list more than 6,001 elements"
-        return real(G, max_vertices, max_order)
+        return real(G, max_order)
 
-    monkeypatch.setattr(symmetry, "_enumerate_automorphisms", at_most_6001)
-    symmetry._cached_group.cache_clear()
+    monkeypatch.setattr(symmetry, "_cached_group", at_most_6001)
     clear_invariant_cache()
     G = star_graph(8)
     distinct = tuple(range(1, 9))

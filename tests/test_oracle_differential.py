@@ -78,8 +78,8 @@ def test_element_listing_matches_the_oracle_in_the_documented_order():
 @pytest.mark.parametrize(
     "G, order",
     [(complete_graph(5), 120), (line_graph(complete_graph(6)), 720),
-     (subdivision_graph(star_graph(7)), 5040)],
-    ids=["K5", "L(K6)", "S(K1,7)"],
+     (subdivision_graph(star_graph(7)), 5040), (subdivision_graph(star_graph(8)), 40320)],
+    ids=["K5", "L(K6)", "S(K1,7)", "S(K1,8)"],
 )
 def test_order_cap_boundary(G, order):
     assert automorphism_group(G, max_order=order).elements == automorphism_group(G).elements

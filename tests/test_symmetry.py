@@ -103,6 +103,35 @@ def test_bad_vertex_cap_env_is_input_error(monkeypatch):
         automorphism_group(path_graph(5), max_order=100)
 
 
+def test_vertex_cap_is_checked_before_the_cache(monkeypatch):
+    # A group or prune set cached under the default cap must not be handed
+    # out once SYMBREAK_MAX_VERTICES is lowered past the graph's order.
+    C10 = cycle_graph(10)
+    assert automorphism_group(C10).order == 20
+    assert len(_smallest_support_automorphisms(C10)) == 19
+    monkeypatch.setenv("SYMBREAK_MAX_VERTICES", "5")
+    with pytest.raises(ResourceCapError):
+        automorphism_group(C10)
+    with pytest.raises(ResourceCapError):
+        _smallest_support_automorphisms(C10)
+
+
+def test_explicit_caps_share_the_cached_search(monkeypatch):
+    # An explicit max_order reads the same cached group as the default call.
+    searched = []
+    real = symmetry._search_setup
+
+    def counted(G, colors):
+        searched.append(G.n)
+        return real(G, colors)
+
+    monkeypatch.setattr(symmetry, "_search_setup", counted)
+    symmetry._cached_group.cache_clear()
+    K5 = complete_graph(5)
+    assert automorphism_group(K5).elements == automorphism_group(K5, max_order=120).elements
+    assert searched == [5]
+
+
 def test_element_order_is_pinned(corpus):
     # SHA-256 recorded before the search started placing vertices next to
     # placed neighbours: the element order (`aut --list`, and the first

@@ -3,6 +3,8 @@
 Vertices are the integers ``0..n-1``.  A :class:`Graph` is immutable once
 built; adjacency structures are derived from the edge list at construction
 time and never mutated, so values can be shared freely between workers.
+Default labels are one shared immutable prefix of original labels
+(:func:`original_labels`), not new label objects per graph.
 """
 
 from __future__ import annotations
@@ -110,6 +112,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
+_ORIGINALS: tuple[VertexLabel, ...] = ()
+
+
+def original_labels(n: int) -> tuple[VertexLabel, ...]:
+    """``VertexLabel.original(i)`` for ``i < n``: a prefix of one shared
+    tuple, rebuilt only when a larger order than any before it is asked for,
+    so it never holds more labels than the largest graph built so far."""
+    global _ORIGINALS
+    if len(_ORIGINALS) < n:
+        _ORIGINALS = tuple(VertexLabel.original(i) for i in range(n))
+    return _ORIGINALS[:n]
+
+
 def from_edge_list(
     n: int,
     pairs: Iterable[Sequence[int]],
@@ -117,13 +132,19 @@ def from_edge_list(
 ) -> Graph:
     """Build a simple graph on ``n`` vertices from unordered index pairs.
 
-    Duplicate pairs collapse.  Loops and out-of-range indices are rejected.
+    Duplicate pairs collapse.  Loops, out-of-range or non-``int`` indices
+    (``bool`` included) and entries that are not pairs are rejected.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise MalformedInputError(f"graph order must be a positive integer, got {n!r}")
     seen: set[Edge] = set()
     for pair in pairs:
-        i, j = pair
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            i = j = None
+        if type(i) is not int or type(j) is not int:
+            raise MalformedInputError(f"edge {pair!r} is not a pair of vertex indices")
         if i == j:
             raise MalformedInputError(f"loop edge ({i},{i}) is not allowed")
         if not (0 <= i < n and 0 <= j < n):
@@ -131,19 +152,21 @@ def from_edge_list(
         seen.add((i, j) if i < j else (j, i))
     edges = tuple(sorted(seen))
     if labels is None:
-        labels = tuple(VertexLabel.original(i) for i in range(n))
+        labels = original_labels(n)
     else:
         labels = tuple(labels)
         if len(labels) != n:
             raise MalformedInputError(f"expected {n} labels, got {len(labels)}")
         if len(set(labels)) != n:
             raise MalformedInputError("vertex labels must be pairwise distinct")
+    # Sorted edges fill each list in increasing order: a neighbour u < v of
+    # v arrives with (u, v), before every (v, w) with w > v.
     adj_lists: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj_lists[u].append(v)
         adj_lists[v].append(u)
-    adj = tuple(tuple(sorted(nb)) for nb in adj_lists)
-    adj_sets = tuple(frozenset(nb) for nb in adj)
+    adj = tuple(map(tuple, adj_lists))
+    adj_sets = tuple(map(frozenset, adj_lists))
     return Graph(n=n, edges=edges, labels=labels, adj=adj, adj_sets=adj_sets)
 
 
@@ -177,19 +200,20 @@ def parse_graph6(line: str) -> Graph:
             f"expected {1 + nbytes} characters for order {n}, got {len(s) - h}",
             h + min(len(s) - h, 1 + nbytes),
         )
-    values = []
+    acc = 0
     for idx in range(h + 1, len(s)):
         v = ord(s[idx]) - 63
         if not 0 <= v <= 63:
             raise GraphFormatError(f"invalid data byte {s[idx]!r}", idx)
-        values.append(v)
+        acc = acc << 6 | v
+    # Pair (i, j), i < j, is bit j(j-1)/2 + i counted from the top of acc.
+    k = 6 * nbytes
     pairs = []
-    k = 0
     for j in range(1, n):
         for i in range(j):
-            if (values[k // 6] >> (5 - k % 6)) & 1:
+            k -= 1
+            if acc >> k & 1:
                 pairs.append((i, j))
-            k += 1
     return from_edge_list(n, pairs)
 
 

@@ -524,18 +524,24 @@ class VerificationReport:
     wall_time_s: float = field(compare=False, default=0.0)
 
 
-def _evaluate_one(args: tuple[str, str]) -> dict:
-    check_id, g6 = args
-    G = parse_graph6(g6)
+def _evaluate(check_id: str, G: Graph) -> dict:
     try:
         return CHECKS[check_id].evaluate(G)
     except Exception as exc:  # error record, not a crash of the whole sweep
         return _record(G, {}, "error", f"{type(exc).__name__}: {exc}")
 
 
+def _evaluate_one(args: tuple[str, str]) -> dict:
+    """A pool worker's task: the check id and the graph as one graph6 line."""
+    check_id, g6 = args
+    return _evaluate(check_id, parse_graph6(g6))
+
+
 def run_check(check_id: str, spec: CorpusSpec, jobs: int = 1) -> VerificationReport:
     """Evaluate one registered check over every hypothesis-satisfying corpus
-    graph, plus the check's fixed extra rows (stars, cycles, sharpness)."""
+    graph, plus the check's fixed extra rows (stars, cycles, sharpness).
+    Serially each corpus graph is evaluated in place; pool workers receive
+    it as one graph6 line."""
     if check_id not in CHECKS:
         raise MalformedInputError(
             f"unknown theorem id {check_id!r}; known: {', '.join(sorted(CHECKS))}"
@@ -545,13 +551,13 @@ def run_check(check_id: str, spec: CorpusSpec, jobs: int = 1) -> VerificationRep
     check = CHECKS[check_id]
     start = time.monotonic()
     graphs = [G for G in enumerate_corpus(spec) if check.hypothesis(G)]
-    tasks = [(check_id, to_graph6(G)) for G in graphs]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(graphs))
     if workers > 1:
+        tasks = [(check_id, to_graph6(G)) for G in graphs]
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             records = pool.map(_evaluate_one, tasks)
     else:
-        records = [_evaluate_one(t) for t in tasks]
+        records = [_evaluate(check_id, G) for G in graphs]
     if check.extra_rows is not None:
         records.extend(check.extra_rows())
     records.sort(key=lambda r: (r["n"], r["graph6"], r["note"]))

@@ -9,7 +9,9 @@ output vertex back to the input graph.
 from __future__ import annotations
 
 from .errors import ContractError, MalformedInputError
-from .graph_core import Edge, Graph, VertexLabel, from_edge_list, incident_edge_pairs
+from .graph_core import (
+    Edge, Graph, VertexLabel, from_edge_list, incident_edge_pairs, original_labels,
+)
 
 
 def _require_edges(G: Graph, op: str) -> None:
@@ -28,9 +30,7 @@ def endline_graph(G: Graph) -> Graph:
     """G plus one new pendant vertex attached to each original vertex."""
     n = G.n
     pairs = list(G.edges) + [(i, n + i) for i in range(n)]
-    labels = tuple(VertexLabel.original(i) for i in range(n)) + tuple(
-        VertexLabel.pendant(i) for i in range(n)
-    )
+    labels = original_labels(n) + tuple(VertexLabel.pendant(i) for i in range(n))
     return from_edge_list(2 * n, pairs, labels)
 
 
@@ -38,9 +38,7 @@ def _incidence(G: Graph) -> tuple[list[Edge], tuple[VertexLabel, ...]]:
     """Incidence pairs on V(G) u E(G), edge k being vertex n + k, and the labels."""
     n = G.n
     pairs = [(u, n + k) for k, e in enumerate(G.edges) for u in e]
-    labels = tuple(VertexLabel.original(i) for i in range(n)) + tuple(
-        VertexLabel.edge_vertex(u, v) for u, v in G.edges
-    )
+    labels = original_labels(n) + tuple(VertexLabel.edge_vertex(u, v) for u, v in G.edges)
     return pairs, labels
 
 

@@ -5,14 +5,16 @@ filtering raw bijections, invariants from unpruned scans over every color
 tuple.  Slow on purpose; valid at oracle scale (order <= 5, plus a plain
 backtracking automorphism search for slightly larger stars).  The colour
 refinement, individualization and leaf code at the end are the package's
-earlier straightforward versions, kept as references for the faster ones.
+earlier straightforward versions, kept as references for the faster ones,
+and so are the graph6 parser and edge-list constructor after them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from symbreak.graph_core import Graph
+from symbreak.errors import GraphFormatError, MalformedInputError
+from symbreak.graph_core import Graph, VertexLabel
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -246,3 +248,72 @@ def reference_code_for(G: Graph, colors: list[int]) -> tuple[int, tuple[int, ...
         for i in range(j):
             acc = (acc << 1) | (1 if vert_at[i] in row else 0)
     return acc, tuple(colors)
+
+
+def reference_from_edge_list(n: int, pairs, labels=None) -> Graph:
+    """Fresh original labels per vertex and a sorted copy of every
+    adjacency list."""
+    if not isinstance(n, int) or n < 1:
+        raise MalformedInputError(f"graph order must be a positive integer, got {n!r}")
+    seen = set()
+    for pair in pairs:
+        i, j = pair
+        if i == j:
+            raise MalformedInputError(f"loop edge ({i},{i}) is not allowed")
+        if not (0 <= i < n and 0 <= j < n):
+            raise MalformedInputError(f"edge ({i},{j}) out of range for order {n}")
+        seen.add((i, j) if i < j else (j, i))
+    edges = tuple(sorted(seen))
+    if labels is None:
+        labels = tuple(VertexLabel.original(i) for i in range(n))
+    else:
+        labels = tuple(labels)
+        if len(labels) != n:
+            raise MalformedInputError(f"expected {n} labels, got {len(labels)}")
+        if len(set(labels)) != n:
+            raise MalformedInputError("vertex labels must be pairwise distinct")
+    adj_lists = [[] for _ in range(n)]
+    for u, v in edges:
+        adj_lists[u].append(v)
+        adj_lists[v].append(u)
+    adj = tuple(tuple(sorted(nb)) for nb in adj_lists)
+    adj_sets = tuple(frozenset(nb) for nb in adj)
+    return Graph(n=n, edges=edges, labels=labels, adj=adj, adj_sets=adj_sets)
+
+
+def reference_parse_graph6(line: str) -> Graph:
+    """Decode a short-form graph6 line one data byte, then one bit, at a time."""
+    header = ">>graph6<<"
+    s = line.rstrip("\r\n")
+    h = len(header) if s.startswith(header) else 0
+    if len(s) == h:
+        raise GraphFormatError("empty graph6 line", h)
+    b0 = ord(s[h])
+    if b0 == 126:
+        raise GraphFormatError("extended graph6 (order > 62) is not supported", h)
+    if not 63 <= b0 <= 125:
+        raise GraphFormatError(f"invalid order byte {s[h]!r}", h)
+    n = b0 - 63
+    if n == 0:
+        raise GraphFormatError("graphs of order 0 are not supported", h)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(s) - h != 1 + nbytes:
+        raise GraphFormatError(
+            f"expected {1 + nbytes} characters for order {n}, got {len(s) - h}",
+            h + min(len(s) - h, 1 + nbytes),
+        )
+    values = []
+    for idx in range(h + 1, len(s)):
+        v = ord(s[idx]) - 63
+        if not 0 <= v <= 63:
+            raise GraphFormatError(f"invalid data byte {s[idx]!r}", idx)
+        values.append(v)
+    pairs = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (values[k // 6] >> (5 - k % 6)) & 1:
+                pairs.append((i, j))
+            k += 1
+    return reference_from_edge_list(n, pairs)

@@ -5,6 +5,7 @@ import pytest
 from symbreak.errors import GraphFormatError, MalformedInputError
 from symbreak.graph_core import (
     NamedGraphSpec,
+    VertexLabel,
     bipartition,
     complete_bipartite_graph,
     complete_graph,
@@ -24,9 +25,9 @@ from symbreak.graph_core import (
     write_graph6_file,
 )
 from symbreak.harness import CorpusSpec, enumerate_corpus
-from symbreak.transforms import subdivision_graph
+from symbreak.transforms import endline_graph, subdivision_graph
 
-from oracles import naive_is_irreducible
+from oracles import naive_is_irreducible, reference_from_edge_list, reference_parse_graph6
 
 
 def test_from_edge_list_triangle():
@@ -60,6 +61,111 @@ def test_from_edge_list_rejects_out_of_range():
         from_edge_list(3, [(0, 3)])
     with pytest.raises(MalformedInputError):
         from_edge_list(0, [])
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        (3, [(0, True)]),
+        (3, [(False, 1)]),
+        (3, [(0, 1.0)]),
+        (3, [(0, "1")]),
+        (3, [(None, 1)]),
+        (3, ["01"]),
+        (3, [(0, 1, 2)]),
+        (3, [(0,)]),
+        (3, [()]),
+        (3, [0]),
+        (3, [None]),
+        (3, [(0, 1), (1, 2), (2, True)]),
+        (True, []),
+        (3.0, [(0, 1)]),
+        ("3", []),
+        (None, []),
+    ],
+)
+def test_from_edge_list_rejects_malformed_entries(n, pairs):
+    with pytest.raises(MalformedInputError):
+        from_edge_list(n, pairs)
+
+
+def _fields(G):
+    return G.n, G.edges, G.adj, G.adj_sets, G.labels
+
+
+def _shuffled_pairs(rng, n, density):
+    """The pairs of a random graph, some repeated or reversed, in random order."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j) if rng.random() < density]
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    pairs = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in pairs]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _transform_labels(rng, n):
+    """Distinct labels as the transforms make them: originals, then pendants
+    and edge vertices, in random order."""
+    k = rng.randrange(n + 1)
+    labels = [VertexLabel.original(i) for i in range(k)]
+    labels += [VertexLabel.pendant(i) for i in range((n - k) // 2)]
+    labels += [VertexLabel.edge_vertex(n + i, i) for i in range(n - len(labels))]
+    rng.shuffle(labels)
+    return labels
+
+
+def test_graph_construction_matches_the_reference():
+    # every order 1..62 at four densities: default and transform labels, the
+    # graph6 parser, and the labels of the endline and subdivision graphs
+    rng = random.Random(19)
+    for n in range(1, 63):
+        for density in (0.0, 0.1, 0.5, 1.0):
+            pairs = _shuffled_pairs(rng, n, density)
+            G = from_edge_list(n, pairs)
+            assert _fields(G) == _fields(reference_from_edge_list(n, pairs))
+            labels = _transform_labels(rng, n)
+            assert _fields(from_edge_list(n, pairs, labels)) == _fields(
+                reference_from_edge_list(n, pairs, labels)
+            )
+            line = to_graph6(G)
+            assert _fields(parse_graph6(line)) == _fields(reference_parse_graph6(line))
+            old_originals = [VertexLabel.original(i) for i in range(n)]
+            E = endline_graph(G)
+            assert _fields(E) == _fields(reference_from_edge_list(
+                2 * n, E.edges, old_originals + [VertexLabel.pendant(i) for i in range(n)]
+            ))
+            if G.num_edges:
+                S = subdivision_graph(G)
+                assert _fields(S) == _fields(reference_from_edge_list(
+                    S.n, S.edges, old_originals + [VertexLabel.edge_vertex(*e) for e in G.edges]
+                ))
+
+
+def _outcome(parse, line):
+    try:
+        return "graph", _fields(parse(line))
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def test_graph6_byte_mutations_match_the_reference_parser():
+    # Replace or insert each of the 256 bytes (decoded as the file reader
+    # does) at every position, or delete the byte there, in a few lines with
+    # and without the nauty header: the same graph, or the same exception
+    # type, message and offset.
+    rng = random.Random(6)
+    bases = [to_graph6(from_edge_list(n, _shuffled_pairs(rng, n, 0.5))) for n in (1, 2, 5, 7, 12)]
+    byte_values = [bytes([b]).decode("ascii", errors="surrogateescape") for b in range(256)]
+    mutations = 0
+    for base in bases:
+        for line in (base, ">>graph6<<" + base):
+            for k in range(len(line) + 1):
+                variants = [line[:k] + line[k + 1 :]]
+                for byte in byte_values:
+                    variants += [line[:k] + byte + line[k + 1 :], line[:k] + byte + line[k:]]
+                for mutated in variants:
+                    assert _outcome(parse_graph6, mutated) == _outcome(reference_parse_graph6, mutated)
+                    mutations += 1
+    assert mutations == sum((2 * len(b) + 12) * 513 for b in bases)
 
 
 def test_graph6_known_encodings():

@@ -157,6 +157,7 @@ def test_run_check_pool_no_larger_than_task_count(monkeypatch):
     import symbreak.harness as harness
 
     sizes = []
+    tasks = []
 
     class StubPool:
         def __init__(self, size):
@@ -169,6 +170,7 @@ def test_run_check_pool_no_larger_than_task_count(monkeypatch):
             return False
 
         def map(self, fn, items):
+            tasks.extend(items)
             return [fn(x) for x in items]
 
     class StubContext:
@@ -179,6 +181,23 @@ def test_run_check_pool_no_larger_than_task_count(monkeypatch):
     report = run_check("thm-3.3", spec, jobs=8)
     assert sizes == [2]  # the two connected graphs of order 3
     assert report_to_dict(report) == report_to_dict(run_check("thm-3.3", spec))
+    # workers receive compact graph6 lines, not Graph objects
+    assert tasks == [("thm-3.3", to_graph6(G)) for G in enumerate_corpus(spec)]
+
+
+def test_serial_sweep_makes_no_graph6_round_trip(tmp_path, order7_path, monkeypatch):
+    import symbreak.harness as harness
+
+    with open(order7_path) as fh:
+        lines = [l for l in fh if l.strip() and not l.startswith(">>")][:20]
+    path = tmp_path / "slice.g6"
+    path.write_text("".join(lines))
+    spec = CorpusSpec(source="file", path=str(path), max_order=62)
+    parsed = []
+    real = harness.parse_graph6
+    monkeypatch.setattr(harness, "parse_graph6", lambda line: parsed.append(line) or real(line))
+    report = run_check("thm-3.3", spec, jobs=1)
+    assert report.summary["checked"] == 20 and parsed == []
 
 
 def test_run_check_parallel_matches_serial_on_file_corpus(tmp_path, order7_path):

@@ -34,23 +34,24 @@ subtrees:
   as some non-identity group element keeps the colors of every position it
   moves, since it then keeps every completion.
 
-Both group cuts use only the 64 group elements of least support, each
-compared on its support alone: any subset of the group keeps them sound,
-and these few make nearly all of their cuts.  chi uses the orbit prune
-alone, and asks for the group only once an unpruned palette search has used
-_PRUNE_AFTER_NODES nodes (never past the automorphism caps); that palette is
-then searched again with the prune.  Validity (proper / distinguishing)
-is constant on orbits and under renaming colors.  So propagation and the
-stabilizer cut remove only subtrees without a valid leaf, and the orbit
-prune only subtrees whose valid leaves all have a smaller valid vector:
-the first accepted leaf is the lexicographically least valid vector, the
-same with or without any cut, and exhausting the tree certifies that no
-valid vector exists at that palette size.  The stabilizer cut leaves no
-leaf that one of the 64 elements preserves.  So a leaf is checked only when
-the group may hold more than them, by a search for an automorphism
-preserving it, on G for vertex colorings and on S(G) for edge and total
-ones (Theorem 3.3's view).  The searches list a group of at most 6,000
-elements to pick the 64, and find those of a larger one without listing it.
+Both group cuts use only a prune set of group elements, each compared on
+its support alone: any subset of the group keeps them sound.  For a group
+of at most 6,000 elements it is the 64 of least support, which make nearly
+all of the cuts; a larger group is never listed, and its prune set is the
+coset representatives of its stabilizer chain, which generate it.  chi
+uses the orbit prune alone, and asks for the group only once an unpruned
+palette search has used _PRUNE_AFTER_NODES nodes (never past the
+automorphism caps); that palette is then searched again with the prune.
+Validity (proper / distinguishing) is constant on orbits and under
+renaming colors.  So propagation and the stabilizer cut remove only
+subtrees without a valid leaf, and the orbit prune only subtrees whose
+valid leaves all have a smaller valid vector: the first accepted leaf is
+the lexicographically least valid vector, the same with or without any
+cut, and exhausting the tree certifies that no valid vector exists at that
+palette size.  The stabilizer cut leaves no leaf that an element of the
+prune set preserves.  So a leaf is checked only when the prune set is not
+the whole group, by a search for an automorphism preserving it, on G for
+vertex colorings and on S(G) for edge and total ones (Theorem 3.3's view).
 """
 
 from __future__ import annotations
@@ -566,9 +567,13 @@ def _invariant(
     else:
         elements = _smallest_support_automorphisms(G)
         perms = spec.group(G, elements)
-        # The search reaches no leaf these elements keep; one the rest of a
-        # larger group may keep is decided by search.
-        nontrivial = spec.decider(G) if len(elements) >= symmetry._PRUNE_SET_SIZE else None
+        # The search reaches no leaf these elements keep.  Unless they are the
+        # whole group (fewer than _PRUNE_SET_SIZE, picked from a listing), a
+        # leaf the rest of it may keep is decided by search.
+        whole = len(elements) < symmetry._PRUNE_SET_SIZE and (
+            symmetry._cached_group(G, symmetry._PRUNE_GROUP_CAP) is not None
+        )
+        nontrivial = None if whole else spec.decider(G)
     value, vec, certified = _minimize(
         kind=kind, npos=npos, conflict_pairs=pairs, perms=perms, nontrivial=nontrivial,
         distinguishing=spec.group is not None, late_perms=late_perms, lower=lower,

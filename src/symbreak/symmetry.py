@@ -4,16 +4,16 @@ Groups of at most _PRUNE_GROUP_CAP elements are listed in full, so
 stabilizers and distinguishing checks reduce to plain filters over the
 element list; automorphism_group lists a larger group too when asked.  Each
 listing is cached per graph (_cached_group), and the caps are checked on
-every call before the cache is read.  The invariant searches take only the
-_PRUNE_SET_SIZE non-identity elements of least support
-(_smallest_support_automorphisms) for their orbit prune and stabilizer
-cut, cached per graph too.  They are picked from a listed group; a larger
-group is never listed, and they come from a search that cuts every branch
-moving too many vertices.  A coloring none of them preserves is decided, when the group
-may hold more, by a search whose refinement starts from the coloring.  Every
-search backtracks over an iterated degree/neighborhood refinement of the
-vertex set and validates adjacency incrementally, so leaves of the search
-tree are exactly the automorphisms.  It fixes the vertices of singleton
+every call before the cache is read.  The invariant searches take a
+prune set for their orbit prune and stabilizer cut, cached per graph too
+(_smallest_support_automorphisms): the _PRUNE_SET_SIZE non-identity
+elements of least support of a listed group, or the coset representatives
+of the stabilizer chain of a larger one, which is never listed.  A
+coloring none of them preserves is decided, when the group may hold more,
+by a search whose refinement starts from the coloring.  Every search
+backtracks over an iterated degree/neighborhood refinement of the vertex
+set and validates adjacency incrementally, so leaves of the search tree
+are exactly the automorphisms.  It fixes the vertices of singleton
 cells, then always places the unplaced vertex with the most placed
 neighbours, so a wrong choice soon fails the adjacency check; a vertex's
 candidates are a bitmask of its cell ANDed with the neighbourhoods of its
@@ -301,7 +301,7 @@ def _cached_group(G: Graph, max_order: int) -> Optional[AutGroup]:
     # with none is no key.  A branch with no leaf has w outside the orbit.
     # So |G_d| is |G_{d+1}| times one more than the number at depth d.
     chain: dict[int, list[Permutation]] = {}
-    _automorphisms(s, 1, n, 0, chain)
+    _automorphisms(s, chain)
     if math.prod(len(reps) + 1 for reps in chain.values()) > max_order:
         return None
     # Bottom up: G_d is G_{d+1} followed by the coset g G_{d+1} of each
@@ -318,10 +318,11 @@ def _cached_group(G: Graph, max_order: int) -> Optional[AutGroup]:
 
 
 def _smallest_support_automorphisms(G: Graph) -> tuple[Permutation, ...]:
-    """The _PRUNE_SET_SIZE non-identity automorphisms of least support (by
+    """The prune set of the invariant searches, non-identity automorphisms
+    of G.  For a listed group, the _PRUNE_SET_SIZE of least support (by
     support, then in the documented element order), or all of them when
-    there are fewer, so the list is shorter than _PRUNE_SET_SIZE only when
-    it is the whole group.  Refused past the vertex cap like
+    there are fewer; for a larger group, the coset representatives of its
+    stabilizer chain, which generate it.  Refused past the vertex cap like
     automorphism_group, before the cache is read."""
     _check_vertex_cap(G)
     return _least_support(G, _PRUNE_SET_SIZE)
@@ -337,24 +338,18 @@ def _least_support(G: Graph, size: int) -> tuple[Permutation, ...]:
             size, automorphism_group(G).nonidentity(),  # stable: ties keep the element order
             key=lambda p: sum(map(ne, p, fixed)),
         ))
-    # A larger group is never listed: one search per support size, each
-    # cutting every branch that moves more vertices.  No automorphism moves
-    # exactly one vertex.
-    s = _search_setup(G, [0] * G.n)
-    out: list[Permutation] = []
-    for support in range(2, G.n + 1):
-        if len(out) >= size:
-            break
-        found = _automorphisms(s, support, support, math.inf)
-        out.extend(sorted(found, key=_element_key(s, len(found))))
-    return tuple(out[:size])
+    # A larger group is never listed: the chain search runs again, and its
+    # representatives make the prune set.
+    chain: dict[int, list[Permutation]] = {}
+    _automorphisms(_search_setup(G, [0] * G.n), chain)
+    return tuple(g for reps in chain.values() for g in reps)
 
 
 def _has_nontrivial_automorphism(G: Graph, colors: Sequence[int]) -> bool:
     """Does an automorphism other than the identity keep every vertex color?
     The refinement starts from the colors, and the search stops at the first
     such automorphism."""
-    return _automorphisms(_search_setup(G, list(colors)), 1, G.n, 0) is None
+    return _automorphisms(_search_setup(G, list(colors)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,33 +395,25 @@ def _search_setup(G: Graph, colors: list[int]) -> _Setup:
     return _Setup(cell_order, forced, order, [cell_mask[v] for v in order], prior_nbrs, masks)
 
 
-def _automorphisms(
-    s: _Setup, lo: int, hi: int, limit: float, chain: Optional[dict[int, list[Permutation]]] = None
-) -> Optional[list[Permutation]]:
-    """The automorphisms that keep every refined cell and move at least lo
-    and at most hi vertices, in lexicographic order of their images along
-    s.order; None as soon as more than `limit` are found.  A branch is cut
-    as soon as it must move more than hi vertices.
+def _automorphisms(s: _Setup, chain: Optional[dict[int, list[Permutation]]] = None) -> bool:
+    """Does an automorphism other than the identity keep every refined cell?
+    The search stops at the first one it finds.
 
     Given `chain`, a dict, each branch that leaves the identity path at
-    depth d stops instead at its first such automorphism, which goes to the
-    list chain[d], and the search goes on with the next branch."""
+    depth d stops instead at its first automorphism, which goes to the list
+    chain[d], and the search goes on with the next branch; it then returns
+    False."""
     order, cell_masks, prior_nbrs, masks = s.order, s.cell_masks, s.prior_nbrs, s.masks
     n = len(order)
-    image = [-1] * n
+    image = list(range(n))  # only the entries of placed vertices are read
     used = 0
     for v in order[: s.forced]:
-        image[v] = v
         used |= 1 << v
-    found: list[Permutation] = []
 
-    def rec(d: int, used: int, moved: int) -> bool:
-        # True, with image as it was, once more than `limit` are found.
+    def rec(d: int, used: int, off: bool) -> bool:
+        # True at the first leaf off the identity path, with image holding it.
         if d == n:
-            if moved >= lo:
-                found.append(tuple(image))
-                return len(found) > limit
-            return False
+            return off
         # The candidates: the unused vertices of v's cell next to the images
         # of all of v's placed neighbours, lowest first.
         v = order[d]
@@ -442,25 +429,14 @@ def _automorphisms(
             w = low.bit_length() - 1
             if masks[w] & used != want:  # next to another placed image
                 continue
-            # moved counts the vertices no completion can fix: each x with
-            # image[x] != x, and each such image (its preimage is not
-            # itself).  So it is 0 exactly on the identity path.
-            m = moved if w == v else moved + (not used >> v & 1) + (image[w] < 0)
-            if m > hi:
-                continue
             image[v] = w
-            if rec(d + 1, used | low, m):
-                if chain is not None and not moved:
-                    chain.setdefault(d, []).append(found.pop())
-                    continue
-                image[v] = -1
-                return True
-        image[v] = -1
+            if rec(d + 1, used | low, off or w != v):
+                if chain is None or off:
+                    return True
+                chain.setdefault(d, []).append(tuple(image))
         return False
 
-    if rec(s.forced, used, 0):
-        return None
-    return found
+    return rec(s.forced, used, False)
 
 
 def _element_key(s: _Setup, count: int) -> Optional[Callable[[Permutation], object]]:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -286,9 +287,10 @@ def test_witnesses_are_pinned(corpus):
 
 def test_witnesses_are_pinned_without_listing_groups(corpus, monkeypatch):
     # With the group-size cap and the prune set at 4, every kind with a group
-    # on every graph with more than 4 automorphisms prunes with 4 elements,
-    # found without listing the group, and decides each leaf it reaches by the
-    # coloured search: the same items must give the same digest.
+    # on every graph with more than 4 automorphisms prunes with the coset
+    # representatives of its stabilizer chain, found without listing the
+    # group, and decides each leaf it reaches by the coloured search, however
+    # few they are: the same items must give the same digest.
     calls = {"select": 0, "decide": 0}
 
     def counted(name, fn):
@@ -318,15 +320,14 @@ def test_witnesses_are_pinned_without_listing_groups(corpus, monkeypatch):
 
 
 def test_prune_set_size_change_gives_no_stale_prune_set(monkeypatch):
-    # K1,8's 40,320 automorphisms are never listed, so its prune set comes
-    # from the cached support-bounded search.  A list cached at a smaller
-    # set size must not be handed out once the size is back: the leaf
-    # decider is passed only for a full list, and without it D(K1,8) would
-    # come out as a certified 4.
+    # K1,8's 40,320 automorphisms are never listed, so its prune set is the
+    # 28 coset representatives of its stabilizer chain, cached per graph and
+    # set size, and the same at any size.  A list cached at a smaller set
+    # size must still give the certified 8 once the size is back.
     star = star_graph(8)
     symmetry._least_support.cache_clear()
     monkeypatch.setattr(symmetry, "_PRUNE_SET_SIZE", 4)
-    assert len(symmetry._smallest_support_automorphisms(star)) == 4
+    assert len(symmetry._smallest_support_automorphisms(star)) == 28
     monkeypatch.undo()
     clear_invariant_cache()
     iv = distinguishing_number(star)
@@ -383,6 +384,40 @@ def test_star_beyond_the_order_cap_is_answered():
     iv = distinguishing_number(star_graph(11))
     assert (iv.value, iv.certified) == (11, True)
     assert sorted(iv.witness.colors[1:]) == list(range(1, 12))
+
+
+def _arms_are_distinguished(m, edge_colors, leaf_colors):
+    # Aut(K1,m) and Aut(S(K1,m)) permute the m arms as S_m, so a coloring is
+    # distinguishing iff no two arms get the same (edge, leaf) color pair.
+    # is_distinguishing would list the group, which is refused past m = 10.
+    assert len(set(zip(edge_colors, leaf_colors))) == m
+
+
+@pytest.mark.parametrize("m", [*range(2, 17), 20])
+def test_subdivided_stars_are_sharp_for_cor_3_5(monkeypatch, m):
+    # D(S(K1,m)) = D''(K1,m) = ceil(sqrt(m)) (Thm 3.3, and Cor 3.5's sharp
+    # family): the m arms need m distinct color pairs.  S(K1,m) has 2m + 1
+    # vertices, and edge vertex m + k subdivides the edge to leaf k.
+    monkeypatch.setenv("SYMBREAK_MAX_VERTICES", "64")
+    clear_invariant_cache()
+    want = math.isqrt(m - 1) + 1
+    iv = distinguishing_number(subdivision_graph(star_graph(m)))
+    assert (iv.value, iv.certified) == (want, True)
+    _arms_are_distinguished(m, iv.witness.colors[m + 1 :], iv.witness.colors[1 : m + 1])
+    if m in (10, 16):
+        iv = total_distinguishing_number(star_graph(m))
+        assert (iv.value, iv.certified) == (want, True)
+        _arms_are_distinguished(m, iv.witness.edge_part.colors, iv.witness.vertex_part.colors[1:])
+
+
+def test_witness_only_star_gets_its_value():
+    # K1,30's 30! automorphisms are never listed; the prune set of its
+    # stabilizer chain forces distinct leaf colors within the node budget at
+    # every palette below 30, so the uncertified answer is the true value.
+    clear_invariant_cache()
+    iv = distinguishing_number(star_graph(30), witness_only=True)
+    assert (iv.value, iv.certified) == (30, False)
+    assert len(set(iv.witness.colors[1:])) == 30
 
 
 _PRUNE_SUBSET_GRAPHS = [

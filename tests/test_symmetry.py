@@ -183,28 +183,49 @@ def test_subdivision_groups_with_large_independent_cells(G, order):
     assert all(is_automorphism(S, p) for p in aut)
 
 
+def _closure(gens, n):
+    """The group the permutations generate, by breadth-first products."""
+    seen = {identity_permutation(n)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [q for p in frontier for g in gens if (q := compose(g, p)) not in seen]
+        seen.update(frontier)
+    return seen
+
+
 @pytest.mark.parametrize(
     "G, cap",
     [
         (subdivision_graph(star_graph(8)), 6000),
         (complete_graph(8), 6000),
         (subdivision_graph(parse_graph6("FwC^w")), 20),
+        (complete_graph(5), 20),
     ],
-    ids=["S(K1,8)", "K8", "S(FwC^w) cap 20"],
+    ids=["S(K1,8)", "K8", "S(FwC^w) cap 20", "K5 cap 20"],
 )
-def test_smallest_support_search_matches_selection_from_the_group(monkeypatch, G, cap):
-    # With the group past the listing cap, the support-bounded search must
-    # find exactly the first _PRUNE_SET_SIZE elements of the listed group
-    # (40,320 elements in the first two cases), sorted stably by support.
-    # On S(FwC^w) the search meets the elements of one support in another
-    # order than the documented one.
+def test_unlisted_prune_set_generates_the_group(monkeypatch, G, cap):
+    # With the group past the listing cap, the prune set is the coset
+    # representatives of its stabilizer chain: automorphisms other than the
+    # identity, whatever _PRUNE_SET_SIZE is (28 for the 40,320 elements of
+    # the first two cases).  Where the group is small enough to close, they
+    # generate all of it.
     monkeypatch.setattr(symmetry, "_PRUNE_GROUP_CAP", cap)
-    by_support = sorted(  # stable: ties keep the documented element order
-        automorphism_group(G).nonidentity(),
-        key=lambda p: sum(pi != i for i, pi in enumerate(p)),
-    )
-    assert len(by_support) > cap
-    assert _smallest_support_automorphisms(G) == tuple(by_support[: symmetry._PRUNE_SET_SIZE])
+    symmetry._least_support.cache_clear()  # cached per graph, whatever the cap
+    try:
+        reps = _smallest_support_automorphisms(G)
+        assert identity_permutation(G.n) not in reps
+        assert all(is_automorphism(G, p) for p in reps)
+        for size in (1, 4, 10_000):
+            monkeypatch.setattr(symmetry, "_PRUNE_SET_SIZE", size)
+            assert _smallest_support_automorphisms(G) == reps
+        group = automorphism_group(G)
+        assert group.order > cap
+        if group.order == 40320:
+            assert len(reps) == 28
+        else:
+            assert _closure(reps, G.n) == set(group.elements)
+    finally:
+        symmetry._least_support.cache_clear()
 
 
 def test_order_cap():

@@ -87,6 +87,7 @@ from .symmetry import (
     invert,
     is_automorphism,
     is_isomorphic,
+    is_isomorphism,
     lift_to_endline,
     lift_to_subdivision,
     permute_graph,

@@ -97,13 +97,20 @@ def invert(p: Permutation) -> Permutation:
     return tuple(inv)
 
 
-def is_automorphism(G: Graph, p: Permutation) -> bool:
+def is_isomorphism(G: Graph, H: Graph, p: Permutation) -> bool:
+    """Whether p, a bijection of range(n), maps E(G) onto E(H)."""
+    if G.n != H.n or G.num_edges != H.num_edges:
+        return False
     if len(p) != G.n or sorted(p) != list(range(G.n)):
         return False
     for u, v in G.edges:
-        if not G.has_edge(p[u], p[v]):
+        if not H.has_edge(p[u], p[v]):
             return False
     return True
+
+
+def is_automorphism(G: Graph, p: Permutation) -> bool:
+    return is_isomorphism(G, G, p)
 
 
 def permute_graph(G: Graph, p: Permutation) -> Graph:
@@ -548,9 +555,8 @@ def is_isomorphic(G: Graph, H: Graph) -> Optional[Permutation]:
     if codeG != codeH:
         return None
     witness = compose(invert(pH), pG)
-    for u, v in G.edges:
-        if not H.has_edge(witness[u], witness[v]):
-            raise AssertionError("canonical labeling produced an invalid witness")
+    if not is_isomorphism(G, H, witness):
+        raise AssertionError("canonical labeling produced an invalid witness")
     return witness
 
 

@@ -35,6 +35,7 @@ from symbreak.symmetry import (
     invert,
     is_automorphism,
     is_isomorphic,
+    is_isomorphism,
     lift_to_endline,
     lift_to_subdivision,
     permute_graph,
@@ -252,6 +253,28 @@ def test_is_isomorphic_witness_and_refusals():
     Q = named_graph(NamedGraphSpec("Q"))
     LQ = named_graph(NamedGraphSpec("LQ"))
     assert is_isomorphic(Q, LQ) is None
+
+
+def test_is_isomorphism_checks_a_given_map():
+    P4 = path_graph(4)  # 0-1-2-3
+    H = from_edge_list(4, [(1, 3), (0, 3), (0, 2)])  # 1-3-0-2
+    assert is_isomorphism(P4, H, (1, 3, 0, 2))
+    assert not is_isomorphism(P4, H, (1, 3, 0))  # wrong length
+    assert not is_isomorphism(P4, H, (1, 3, 0, 0))  # repeated image
+    assert not is_isomorphism(P4, cycle_graph(4), (0, 1, 2, 3))  # 3 edges against 4
+    assert not is_isomorphism(P4, H, (0, 1, 2, 3))  # edge (0, 1) to a non-edge
+    assert not is_isomorphism(P4, path_graph(5), (0, 1, 2, 3))  # unequal orders
+    for p in itertools.permutations(range(4)):
+        assert is_isomorphism(P4, P4, p) == is_automorphism(P4, p)
+
+
+def test_is_isomorphic_rejects_an_invalid_witness(monkeypatch):
+    # the witness from two canonical labellings is re-checked, not trusted
+    C4 = cycle_graph(4)
+    K22 = complete_bipartite_graph(2, 2)
+    monkeypatch.setattr(symmetry, "canonical_labeling", lambda G: (tuple(range(G.n)), b""))
+    with pytest.raises(AssertionError, match="invalid witness"):
+        is_isomorphic(C4, K22)
 
 
 def test_is_isomorphic_same_degree_sequence_but_different():

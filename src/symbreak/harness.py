@@ -167,15 +167,13 @@ def _hyp_exception(G: Graph) -> bool:
 def _check_fact_2_3_1(G: Graph) -> dict:
     """M(G) is isomorphic to L(G+) by the map of the proof: vertex v goes to
     the pendant edge (v, n+v), and edge vertex n+k to the edge G.edges[k];
-    vertex k of L(G+) is G+.edges[k].  The search decides only a pair the
-    map does not check."""
+    vertex k of L(G+) is G+.edges[k]."""
     M = middle_graph(G)
     Gp = endline_graph(G)
     L = line_graph(Gp)
     rank = {e: k for k, e in enumerate(Gp.edges)}
     images = [(v, G.n + v) for v in range(G.n)] + list(G.edges)
-    p = tuple(rank.get(e, -1) for e in images)
-    iso = is_isomorphism(M, L, p) or is_isomorphic(M, L) is not None
+    iso = is_isomorphism(M, L, tuple(rank[e] for e in images))
     values = {"middle_order": M.n, "isomorphic": iso}
     return _record(G, values, "pass" if iso else "fail")
 

@@ -248,55 +248,15 @@ def test_order7_fact_2_3_1_report_is_pinned(tmp_path, order7_path, monkeypatch):
 
 
 @pytest.mark.parametrize("source, checked", [("builtin", 141), ("file", 853)])
-def test_fact_2_3_1_map_checks_on_every_graph(source, checked, order7_path, monkeypatch):
-    # the map of the proof certifies every pair, so the search never runs
-    import symbreak.harness as harness
-
-    def search(M, L):
-        raise AssertionError("the map of Fact 2.3(1) did not check")
-
-    monkeypatch.setattr(harness, "is_isomorphic", search)
+def test_fact_2_3_1_map_checks_on_every_graph(source, checked, order7_path):
+    # the map of the proof certifies every pair; a fault in the numbering of
+    # middle_graph or endline_graph shows here as a failed record
     if source == "builtin":
         spec = CorpusSpec(source="builtin", max_order=6, min_order=3)
     else:
         spec = CorpusSpec(source="file", path=order7_path, max_order=62)
     report = run_check("fact-2.3-1", spec)
     assert report.summary["checked"] == checked and report.summary["failed"] == 0
-
-
-def test_fact_2_3_1_search_decides_when_the_map_fails(tmp_path, monkeypatch):
-    import symbreak.harness as harness
-
-    spec = CorpusSpec(source="builtin", max_order=6, min_order=3)
-    emit_report(run_check("fact-2.3-1", spec), "json", str(tmp_path / "map.json"))
-    maps = []
-    monkeypatch.setattr(harness, "is_isomorphism", lambda M, L, p: maps.append(p) and False)
-    emit_report(run_check("fact-2.3-1", spec), "json", str(tmp_path / "search.json"))
-    assert len(maps) == 141
-    assert (tmp_path / "search.json").read_bytes() == (tmp_path / "map.json").read_bytes()
-
-
-def test_fact_2_3_1_map_missing_an_edge_falls_back(monkeypatch):
-    # With the pendants of G+ renumbered in reverse, most edges (v, n+v) are
-    # missing: the map must not raise, and the search still decides.
-    import symbreak.harness as harness
-    from symbreak.symmetry import is_isomorphic, permute_graph
-
-    real = harness.endline_graph
-
-    def reversed_pendants(G):
-        n = G.n
-        return permute_graph(real(G), tuple(range(n)) + tuple(range(2 * n - 1, n - 1, -1)))
-
-    searched = []
-    monkeypatch.setattr(harness, "endline_graph", reversed_pendants)
-    monkeypatch.setattr(
-        harness, "is_isomorphic", lambda M, L: searched.append(M.n) or is_isomorphic(M, L)
-    )
-    graphs = [complete_graph(4), cycle_graph(5), from_edge_list(4, [(0, 1), (1, 2), (2, 3)])]
-    for G in graphs:
-        assert harness._check_fact_2_3_1(G)["status"] == "pass"
-    assert searched == [10, 10, 7]
 
 
 def test_hypothesis_filters_reject_ineligible_graphs(tmp_path):

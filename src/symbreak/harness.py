@@ -188,6 +188,7 @@ def _check_fact_2_3_3(G: Graph) -> dict:
 
 
 def _check_lemma_2_4(G: Graph) -> dict:
+    """`violations` counts group elements: non-identity ones of Aut(G+) fixing V(G) pointwise."""
     Gp = endline_graph(G)
     aut = automorphism_group(Gp)
     n = G.n
@@ -284,30 +285,27 @@ def _cor_3_5_star_rows() -> list[dict]:
 
 
 def _check_lemma_4_2(G: Graph) -> dict:
+    """`violations` counts group elements: those neither keeping nor swapping the sides."""
     U, W = bipartition(G)
-    uset, wset = set(U), set(W)
+    sides = (set(U), set(W))
     aut = automorphism_group(G)
-    bad = 0
-    for p in aut:
-        img = {p[u] for u in U}
-        if img != uset and img != wset:
-            bad += 1
+    bad = sum(1 for p in aut if {p[u] for u in U} not in sides)
     values = {"aut_order": aut.order, "violations": bad}
     return _record(G, values, "pass" if bad == 0 else "fail")
 
 
 def _check_lemma_4_3(G: Graph) -> dict:
+    """`violations` counts group elements: non-identity ones fixing a side pointwise."""
     U, W = bipartition(G)
     aut = automorphism_group(G)
-    bad = 0
-    for p in aut.nonidentity():
-        if all(p[u] == u for u in U) or all(p[w] == w for w in W):
-            bad += 1
+    bad = sum(1 for p in aut.nonidentity()
+              if all(p[u] == u for u in U) or all(p[w] == w for w in W))
     values = {"aut_order": aut.order, "irreducible": is_irreducible(G), "violations": bad}
     return _record(G, values, "pass" if bad == 0 else "fail")
 
 
 def _check_lemma_4_4(G: Graph) -> dict:
+    """`violations` counts group elements: those of Aut(S(G)) moving V(G) off itself."""
     S = subdivision_graph(G)
     aut = automorphism_group(S)
     originals = set(range(G.n))

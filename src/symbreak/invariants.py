@@ -67,10 +67,11 @@ from .errors import (
     MalformedInputError,
     ResourceCapError,
 )
-from . import symmetry
 from .graph_core import Graph, incident_edge_pairs, is_connected, to_graph6
 from .symmetry import (
     Permutation,
+    _adjacency_masks,
+    _chain,
     _has_nontrivial_automorphism,
     _smallest_support_automorphisms,
     _subdivision_lifts,
@@ -148,10 +149,7 @@ def _check_domain(G: Graph, c) -> None:
 
 def _max_clique_size(n: int, pairs: Sequence[tuple[int, int]]) -> int:
     """Clique number of the graph on ``0..n-1`` with the given edge pairs."""
-    masks = [0] * n
-    for a, b in pairs:
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
+    masks = _adjacency_masks(n, pairs)
     best = 0
 
     def expand(cand: int, size: int) -> None:
@@ -567,12 +565,9 @@ def _invariant(
     else:
         elements = _smallest_support_automorphisms(G)
         perms = spec.group(G, elements)
-        # The search reaches no leaf these elements keep.  Unless they are the
-        # whole group (fewer than _PRUNE_SET_SIZE, picked from a listing), a
-        # leaf the rest of it may keep is decided by search.
-        whole = len(elements) < symmetry._PRUNE_SET_SIZE and (
-            symmetry._cached_group(G, symmetry._PRUNE_GROUP_CAP) is not None
-        )
+        # The search reaches no leaf these elements keep.  Unless they are all
+        # the group but the identity, a search decides the leaves it reaches.
+        whole = len(elements) == _chain(G).order - 1
         nontrivial = None if whole else spec.decider(G)
     value, vec, certified = _minimize(
         kind=kind, npos=npos, conflict_pairs=pairs, perms=perms, nontrivial=nontrivial,

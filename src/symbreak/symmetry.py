@@ -1,28 +1,22 @@
 """Automorphism groups, isomorphism testing, canonical labeling, group actions.
 
-Groups of at most _PRUNE_GROUP_CAP elements are listed in full, so
-stabilizers and distinguishing checks reduce to plain filters over the
-element list; automorphism_group lists a larger group too when asked.  Each
-listing is cached per graph (_cached_group), and the caps are checked on
-every call before the cache is read.  The invariant searches take a
-prune set for their orbit prune and stabilizer cut, cached per graph too
-(_smallest_support_automorphisms): the _PRUNE_SET_SIZE non-identity
-elements of least support of a listed group, or the coset representatives
-of the stabilizer chain of a larger one, which is never listed.  A
-coloring none of them preserves is decided, when the group may hold more,
-by a search whose refinement starts from the coloring.  Every search
-backtracks over an iterated degree/neighborhood refinement of the vertex
-set and validates adjacency incrementally, so leaves of the search tree
-are exactly the automorphisms.  It fixes the vertices of singleton
-cells, then always places the unplaced vertex with the most placed
-neighbours, so a wrong choice soon fails the adjacency check; a vertex's
-candidates are a bitmask of its cell ANDed with the neighbourhoods of its
-placed neighbours' images.  A group is listed from a stabilizer chain
-found by one such search: it walks the identity path, and each branch off
-it stops at its first leaf, a coset representative.  The group order, the
-product of the orbit lengths, is checked against the cap before any
-element is built; the elements are the products of representatives, sorted
-into a fixed order that does not depend on the search (see AutGroup).
+Each graph's group is searched once, into a stabilizer chain cached per
+graph (_chain) with its order, the product of the orbit lengths.
+automorphism_group checks both caps on every call, the order cap against
+that order, and lists the group from the chain on first request.  The
+invariant searches prune with _smallest_support_automorphisms: the
+_PRUNE_SET_SIZE non-identity elements of least support of a group of at most
+_PRUNE_GROUP_CAP elements, or the chain's coset representatives for a larger
+one, which is never listed.  A coloring none of them preserves is decided,
+when the group holds more, by a search whose refinement starts from the
+coloring.  Every search backtracks over an iterated degree/neighborhood
+refinement and validates adjacency incrementally, so its leaves are exactly
+the automorphisms.  It fixes the vertices of singleton cells, then always
+places the unplaced vertex with the most placed neighbours, so a wrong
+choice soon fails the adjacency check; a vertex's candidates are a bitmask
+of its cell ANDed with the neighbourhoods of its placed neighbours' images.
+The chain search walks the identity path, and each branch off it stops at
+its first leaf, a coset representative.
 
 A partition is an ordered list of cells, each holding its vertices in
 increasing order, and a vertex's color is the position of its cell.  The
@@ -101,7 +95,7 @@ def is_isomorphism(G: Graph, H: Graph, p: Permutation) -> bool:
     """Whether p, a bijection of range(n), maps E(G) onto E(H)."""
     if G.n != H.n or G.num_edges != H.num_edges:
         return False
-    if len(p) != G.n or sorted(p) != list(range(G.n)):
+    if len(p) != G.n or set(p) != set(range(G.n)):
         return False
     for u, v in G.edges:
         if not H.has_edge(p[u], p[v]):
@@ -114,7 +108,10 @@ def is_automorphism(G: Graph, p: Permutation) -> bool:
 
 
 def permute_graph(G: Graph, p: Permutation) -> Graph:
-    """Relabel G so that old vertex v becomes p[v].  Labels travel along."""
+    """Relabel G so that old vertex v becomes p[v].  Labels travel along.
+    Raises ContractError unless p is a permutation of range(G.n)."""
+    if len(p) != G.n or set(p) != set(range(G.n)):
+        raise ContractError("not a permutation of the graph's vertices")
     labels = [None] * G.n
     for v in range(G.n):
         labels[p[v]] = G.labels[v]
@@ -242,9 +239,10 @@ def _refine_cells(
     return out
 
 
-def _adjacency_masks(G: Graph) -> list[int]:
-    masks = [0] * G.n
-    for u, v in G.edges:
+def _adjacency_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Per vertex of range(n), the bitmask of its neighbours."""
+    masks = [0] * n
+    for u, v in edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
@@ -254,8 +252,7 @@ def _adjacency_masks(G: Graph) -> list[int]:
 # Automorphism group enumeration
 # ---------------------------------------------------------------------------
 
-# automorphism_group looks a graph up at this cap first; the invariant
-# searches list a group of at most this many elements, and never a larger one.
+# The invariant searches never list a group of more than this many elements.
 _PRUNE_GROUP_CAP = 6000
 # The orbit prune and stabilizer cut of the invariant searches scan this many
 # group elements of least support at every node.  More cost more per node
@@ -271,18 +268,19 @@ def automorphism_group(
 ) -> AutGroup:
     """Enumerate every adjacency-preserving bijection of G.
 
-    Provenance labels are ignored: this is pure graph symmetry.  Calls are
-    cached per graph, whatever the caps; both caps are checked on every
-    call, so a cached group is refused past a lowered cap.  Raises
+    Provenance labels are ignored: this is pure graph symmetry.  The group
+    is listed from G's cached stabilizer chain on first request and kept
+    there; both caps are checked on every call, the order cap against the
+    chain's order, so a cached group is refused past a lowered cap.  Raises
     ResourceCapError if the graph order or the group order exceeds its cap.
     """
     _check_vertex_cap(G, max_vertices)
-    group = _cached_group(G, _PRUNE_GROUP_CAP)
-    if group is None and max_order > _PRUNE_GROUP_CAP:
-        group = _cached_group(G, max_order)
-    if group is None or group.order > max_order:
+    chain = _chain(G)
+    if chain.order > max_order:
         raise ResourceCapError(f"automorphism group larger than cap {max_order}")
-    return group
+    if chain.group is None:
+        chain.group = _listing(chain)
+    return chain.group
 
 
 def _check_vertex_cap(G: Graph, max_vertices: Optional[int] = None) -> None:
@@ -294,34 +292,45 @@ def _check_vertex_cap(G: Graph, max_vertices: Optional[int] = None) -> None:
         )
 
 
+@dataclass(eq=False, slots=True)
+class _Chain:
+    """Aut(G) as a stabilizer chain along _Setup.order, from _automorphisms:
+    `reps` pairs each depth d, as found, with a coset representative per
+    vertex w != order[d] in the orbit of order[d] under the pointwise
+    stabilizer of order[:d], so `order` = |G| is the product of one more than
+    their numbers.  `free` is the cell order past the singleton cells.  Tuples
+    of ints only, which the collector stops scanning; `group` is the listing."""
+
+    n: int
+    free: tuple[int, ...]
+    reps: tuple[tuple[int, tuple[Permutation, ...]], ...]
+    order: int
+    group: Optional[AutGroup] = None
+
+
 @lru_cache(maxsize=32)
-def _cached_group(G: Graph, max_order: int) -> Optional[AutGroup]:
-    """The whole group in the documented order, or None if it has more than
-    max_order elements.  The order is known before any element is built.
-    The callers check the vertex cap."""
-    n = G.n
-    s = _search_setup(G, [0] * n)
-    # A stabilizer chain along s.order: chain[d] gets, for each vertex
-    # w != s.order[d] in the orbit of s.order[d] under G_d (the pointwise
-    # stabilizer of s.order[:d]), the first leaf of the branch off the
-    # identity path that maps s.order[d] to w, by increasing w; a depth
-    # with none is no key.  A branch with no leaf has w outside the orbit.
-    # So |G_d| is |G_{d+1}| times one more than the number at depth d.
-    chain: dict[int, list[Permutation]] = {}
-    _automorphisms(s, chain)
-    if math.prod(len(reps) + 1 for reps in chain.values()) > max_order:
-        return None
-    # Bottom up: G_d is G_{d+1} followed by the coset g G_{d+1} of each
-    # representative g at depth d.
-    elements = [identity_permutation(n)]
-    for d in sorted(chain, reverse=True):
+def _chain(G: Graph) -> _Chain:
+    """G's stabilizer chain, from one search; the callers check the vertex cap."""
+    s = _search_setup(G, [0] * G.n)
+    found: dict[int, list[Permutation]] = {}
+    _automorphisms(s, found)
+    reps = tuple((d, tuple(gs)) for d, gs in found.items())
+    order = math.prod(len(gs) + 1 for _, gs in reps)
+    return _Chain(G.n, tuple(s.cell_order[s.forced :]), reps, order)
+
+
+def _listing(chain: _Chain) -> AutGroup:
+    """The whole group of the chain in the documented order, built bottom up:
+    G_d is G_{d+1} followed by the coset g G_{d+1} of each representative g."""
+    elements = [identity_permutation(chain.n)]
+    for _, gs in sorted(chain.reps, reverse=True):
         below = elements[1:]  # G_{d+1} but the identity
-        for g in chain[d]:
+        for g in gs:
             elements.append(g)
             elements += [tuple(map(g.__getitem__, h)) for h in below]
     if len(elements) > 2:  # else the identity is already first
-        elements.sort(key=_element_key(s, len(elements)))
-    return AutGroup(n=n, elements=tuple(elements))
+        elements.sort(key=_element_key(chain.free, len(elements)))
+    return AutGroup(n=chain.n, elements=tuple(elements))
 
 
 def _smallest_support_automorphisms(G: Graph) -> tuple[Permutation, ...]:
@@ -337,19 +346,15 @@ def _smallest_support_automorphisms(G: Graph) -> tuple[Permutation, ...]:
 
 @lru_cache(maxsize=32)
 def _least_support(G: Graph, size: int) -> tuple[Permutation, ...]:
-    if _cached_group(G, _PRUNE_GROUP_CAP) is not None:
-        # Picked from the listed group, taken through the public lookup
-        # whose calls perfbench's per-layer trace counts.
-        fixed = range(G.n)
-        return tuple(heapq.nsmallest(
-            size, automorphism_group(G).nonidentity(),  # stable: ties keep the element order
-            key=lambda p: sum(map(ne, p, fixed)),
-        ))
-    # A larger group is never listed: the chain search runs again, and its
-    # representatives make the prune set.
-    chain: dict[int, list[Permutation]] = {}
-    _automorphisms(_search_setup(G, [0] * G.n), chain)
-    return tuple(g for reps in chain.values() for g in reps)
+    chain = _chain(G)
+    if chain.order > _PRUNE_GROUP_CAP:  # never listed
+        return tuple(g for _, gs in chain.reps for g in gs)
+    # Picked through the public lookup, whose calls perfbench's trace counts.
+    fixed = range(G.n)
+    return tuple(heapq.nsmallest(
+        size, automorphism_group(G).nonidentity(),  # stable: ties keep the element order
+        key=lambda p: sum(map(ne, p, fixed)),
+    ))
 
 
 def _has_nontrivial_automorphism(G: Graph, colors: Sequence[int]) -> bool:
@@ -382,7 +387,7 @@ def _search_setup(G: Graph, colors: list[int]) -> _Setup:
     forced = sum(len(cell) == 1 for cell in cells)
     if forced == n:  # discrete: every search starts at its only leaf
         return _Setup(cell_order, n, cell_order, [], [], [])
-    masks = _adjacency_masks(G)
+    masks = _adjacency_masks(n, G.edges)
     order = _placement_order(cell_order, forced, masks)
     cell_mask = [0] * n
     for cell in cells:
@@ -446,16 +451,16 @@ def _automorphisms(s: _Setup, chain: Optional[dict[int, list[Permutation]]] = No
     return rec(s.forced, used, False)
 
 
-def _element_key(s: _Setup, count: int) -> Optional[Callable[[Permutation], object]]:
+def _element_key(free: tuple[int, ...], count: int) -> Optional[Callable[[Permutation], object]]:
     """Sort key of the documented element order for `count` elements of a
-    nontrivial group, read over the vertices of non-singleton cells (every
-    automorphism fixes the rest).  None, the plain tuple order, when those
-    come in increasing order.  Else tuple keys are the quickest to build;
-    past _PRUNE_GROUP_CAP elements byte keys keep the sort's memory small."""
-    free = s.cell_order[s.forced :]
-    if free == sorted(free):
+    nontrivial group, read over `free`, the vertices of non-singleton cells
+    in cell order (every automorphism fixes the rest, and maps `free` onto
+    itself).  None, the plain tuple order, when those come in increasing
+    order.  Else tuple keys are the quickest to build; past _PRUNE_GROUP_CAP
+    elements byte keys keep the sort's memory small."""
+    if list(free) == sorted(free):
         return None
-    if count > _PRUNE_GROUP_CAP and len(s.cell_order) <= 256:
+    if count > _PRUNE_GROUP_CAP and max(free) < 256:
         return lambda p: bytes([p[v] for v in free])
     return itemgetter(*free)
 
@@ -617,13 +622,14 @@ def preserves(p: Permutation, c) -> bool:
     if isinstance(c, EdgeColoring):
         pos = c._position
         cols = c.colors
-        for k, (u, v) in enumerate(c.edges):
-            a, b = p[u], p[v]
-            img = (a, b) if a < b else (b, a)
-            if img not in pos:
-                raise ContractError("permutation does not act on the coloring domain")
-            if cols[pos[img]] != cols[k]:
-                return False
+        try:
+            for k, (u, v) in enumerate(c.edges):
+                a, b = p[u], p[v]
+                img = (a, b) if a < b else (b, a)
+                if cols[pos[img]] != cols[k]:
+                    return False
+        except (IndexError, KeyError):
+            raise ContractError("permutation does not act on the coloring domain") from None
         return True
     if isinstance(c, TotalColoring):
         return preserves(p, c.vertex_part) and preserves(p, c.edge_part)

@@ -335,16 +335,22 @@ def test_prune_set_size_change_gives_no_stale_prune_set(monkeypatch):
     assert is_distinguishing(star, iv.witness)
 
 
+def _list_at_most_6000(monkeypatch):
+    """Make listing any group whose chain order is above 6,000 fail, from a
+    cleared chain cache, so no listing is handed out unchecked."""
+    real = symmetry._listing
+
+    def at_most_6000(chain):
+        assert chain.order <= 6000, f"asked to list {chain.order} elements"
+        return real(chain)
+
+    symmetry._chain.cache_clear()
+    monkeypatch.setattr(symmetry, "_listing", at_most_6000)
+
+
 def test_large_group_is_never_listed(monkeypatch):
-    # S(K1,9) has 362,880 automorphisms; D must not list more than 6,001.
-    real = symmetry._cached_group
-    real.cache_clear()
-
-    def at_most_6001(G, max_order):
-        assert max_order <= 6000, "asked to list more than 6,001 elements"
-        return real(G, max_order)
-
-    monkeypatch.setattr(symmetry, "_cached_group", at_most_6001)
+    # S(K1,9) has 362,880 automorphisms; D must not list more than 6,000.
+    _list_at_most_6000(monkeypatch)
     clear_invariant_cache()
     iv = distinguishing_number(subdivision_graph(star_graph(9)))
     assert (iv.value, iv.certified) == (3, True)
@@ -353,15 +359,8 @@ def test_large_group_is_never_listed(monkeypatch):
 
 def test_edge_and_total_kinds_never_list_a_large_group(monkeypatch):
     # K1,8 has 40,320 automorphisms; Dp, chiDp and Dpp must not list more than
-    # 6,001 of them, and keep the witnesses they had when they listed all.
-    real = symmetry._cached_group
-    real.cache_clear()
-
-    def at_most_6001(G, max_order):
-        assert max_order <= 6000, "asked to list more than 6,001 elements"
-        return real(G, max_order)
-
-    monkeypatch.setattr(symmetry, "_cached_group", at_most_6001)
+    # 6,000 of them, and keep the witnesses they had when they listed all.
+    _list_at_most_6000(monkeypatch)
     clear_invariant_cache()
     G = star_graph(8)
     distinct = tuple(range(1, 9))

@@ -21,6 +21,7 @@ from symbreak.graph_core import (
     star_graph,
     to_graph6,
 )
+from symbreak.invariants import clear_invariant_cache, distinguishing_number
 from symbreak.symmetry import (
     _individualize,
     _refine,
@@ -118,19 +119,30 @@ def test_vertex_cap_is_checked_before_the_cache(monkeypatch):
 
 
 def test_explicit_caps_share_the_cached_search(monkeypatch):
-    # An explicit max_order reads the same cached group as the default call.
+    # D, the prune set, the default call and an explicit max_order all read
+    # one chain, found by one uniform-colour search.  S(K1,8)'s 40,320
+    # elements are past the listing cap of the invariant searches; with a
+    # cache keyed by the order cap, these calls took four searches.
     searched = []
     real = symmetry._search_setup
 
     def counted(G, colors):
-        searched.append(G.n)
+        if len(set(colors)) < 2:  # not the coloured leaf decider
+            searched.append(G.n)
         return real(G, colors)
 
     monkeypatch.setattr(symmetry, "_search_setup", counted)
-    symmetry._cached_group.cache_clear()
-    K5 = complete_graph(5)
-    assert automorphism_group(K5).elements == automorphism_group(K5, max_order=120).elements
-    assert searched == [5]
+    for G, order in ((complete_graph(5), 120), (subdivision_graph(star_graph(8)), 40320)):
+        symmetry._chain.cache_clear()
+        symmetry._least_support.cache_clear()
+        clear_invariant_cache()
+        searched.clear()
+        distinguishing_number(G)
+        _smallest_support_automorphisms(G)
+        group = automorphism_group(G)
+        assert group.order == order
+        assert automorphism_group(G, max_order=order) is group
+        assert searched == [G.n]
 
 
 def test_element_order_is_pinned(corpus):
@@ -261,6 +273,7 @@ def test_is_isomorphism_checks_a_given_map():
     assert is_isomorphism(P4, H, (1, 3, 0, 2))
     assert not is_isomorphism(P4, H, (1, 3, 0))  # wrong length
     assert not is_isomorphism(P4, H, (1, 3, 0, 0))  # repeated image
+    assert not is_isomorphism(P4, H, (1, 3, None, 2))  # not a vertex
     assert not is_isomorphism(P4, cycle_graph(4), (0, 1, 2, 3))  # 3 edges against 4
     assert not is_isomorphism(P4, H, (0, 1, 2, 3))  # edge (0, 1) to a non-edge
     assert not is_isomorphism(P4, path_graph(5), (0, 1, 2, 3))  # unequal orders
@@ -511,3 +524,13 @@ def test_preserves_domain_mismatch():
     # permutation moving edges outside the declared domain
     with pytest.raises(ContractError):
         preserves((1, 2, 0), EdgeColoring(((0, 1),), (1,), 1))
+    # an edge endpoint the permutation does not reach
+    with pytest.raises(ContractError):
+        preserves((0, 1, 2), EdgeColoring(complete_graph(4).edges, (1,) * 6, 1))
+
+
+@pytest.mark.parametrize("p", [(1, 0, 0), (0, 1), (0, 1, 2, 3), (0, 1, 3), (0, "a", 1)])
+def test_permute_graph_rejects_a_non_permutation(p):
+    with pytest.raises(ContractError):
+        permute_graph(path_graph(3), p)
+    assert permute_graph(path_graph(3), (2, 1, 0)).edges == path_graph(3).edges

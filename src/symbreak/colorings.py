@@ -17,11 +17,11 @@ from .graph_core import Edge
 
 
 def _check_colors(colors: tuple[int, ...], palette: int) -> None:
-    if palette < 1:
-        raise MalformedInputError(f"palette size must be >= 1, got {palette}")
+    if type(palette) is not int or palette < 1:
+        raise MalformedInputError(f"palette size must be an integer >= 1, got {palette!r}")
     for c in colors:
-        if not 1 <= c <= palette:
-            raise MalformedInputError(f"color {c} outside palette 1..{palette}")
+        if type(c) is not int or not 1 <= c <= palette:
+            raise MalformedInputError(f"color {c!r} is not an integer in 1..{palette}")
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,15 @@ class EdgeColoring:
     palette: int
 
     def __post_init__(self):
+        last = (-1, -1)
+        for e in self.edges if type(self.edges) is tuple else (self.edges,):
+            if not (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int
+                    and 0 <= e[0] < e[1] and e > last):
+                raise MalformedInputError(
+                    f"edge domain must be a tuple of increasing pairs 0 <= u < v, got {e!r}")
+            last = e
         if len(self.edges) != len(self.colors):
             raise MalformedInputError("edge domain and color list differ in length")
-        if tuple(sorted(self.edges)) != self.edges:
-            raise MalformedInputError("edge domain must be lexicographically sorted")
         _check_colors(self.colors, self.palette)
 
     @classmethod

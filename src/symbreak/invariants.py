@@ -35,13 +35,13 @@ subtrees:
   moves, since it then keeps every completion.
 
 Both group cuts use only a prune set of group elements, each compared on
-its support alone: any subset of the group keeps them sound.  For a group
-of at most 6,000 elements it is the 64 of least support, which make nearly
-all of the cuts; a larger group is never listed, and its prune set is the
-coset representatives of its stabilizer chain, which generate it.  chi
-uses the orbit prune alone, and asks for the group only once an unpruned
-palette search has used _PRUNE_AFTER_NODES nodes (never past the
-automorphism caps); that palette is then searched again with the prune.
+its support alone: any subset of the group keeps them sound.  A group of at
+most 65 elements prunes with all of its non-identity elements; a larger
+group is never listed, and its prune set is the coset representatives of
+its stabilizer chain, which generate it.  chi uses the orbit prune alone,
+and asks for the group only once an unpruned palette search has used
+_PRUNE_AFTER_NODES nodes (never past the automorphism caps); that palette
+is then searched again with the prune.
 Validity (proper / distinguishing) is constant on orbits and under
 renaming colors.  So propagation and the stabilizer cut remove only
 subtrees without a valid leaf, and the orbit prune only subtrees whose
@@ -73,7 +73,7 @@ from .symmetry import (
     _adjacency_masks,
     _chain,
     _has_nontrivial_automorphism,
-    _smallest_support_automorphisms,
+    _prune_set,
     _subdivision_lifts,
     automorphism_group,
     preserves,
@@ -439,10 +439,10 @@ def _edge_action(G: Graph, perms: Sequence[Permutation]) -> list[Permutation]:
 
 
 def _late_vertex_prune(G: Graph) -> Sequence[Permutation]:
-    """The vertex automorphisms of least support for the orbit prune alone,
-    or none where the automorphism caps refuse G."""
+    """G's prune set (symmetry._prune_set) for the orbit prune alone, or
+    none where the automorphism caps refuse G."""
     try:
-        return _smallest_support_automorphisms(G)
+        return _prune_set(G)
     except (ResourceCapError, MalformedInputError):
         return ()
 
@@ -563,7 +563,7 @@ def _invariant(
     if spec.group is None:  # chi: a prune group only once the search is hard
         perms, nontrivial, late_perms = (), None, partial(_late_vertex_prune, G)
     else:
-        elements = _smallest_support_automorphisms(G)
+        elements = _prune_set(G)
         perms = spec.group(G, elements)
         # The search reaches no leaf these elements keep.  Unless they are all
         # the group but the identity, a search decides the leaves it reaches.

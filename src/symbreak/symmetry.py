@@ -4,19 +4,18 @@ Each graph's group is searched once, into a stabilizer chain cached per
 graph (_chain) with its order, the product of the orbit lengths.
 automorphism_group checks both caps on every call, the order cap against
 that order, and lists the group from the chain on first request.  The
-invariant searches prune with _smallest_support_automorphisms: the
-_PRUNE_SET_SIZE non-identity elements of least support of a group of at most
-_PRUNE_GROUP_CAP elements, or the chain's coset representatives for a larger
-one, which is never listed.  A coloring none of them preserves is decided,
-when the group holds more, by a search whose refinement starts from the
-coloring.  Every search backtracks over an iterated degree/neighborhood
-refinement and validates adjacency incrementally, so its leaves are exactly
-the automorphisms.  It fixes the vertices of singleton cells, then always
-places the unplaced vertex with the most placed neighbours, so a wrong
-choice soon fails the adjacency check; a vertex's candidates are a bitmask
-of its cell ANDed with the neighbourhoods of its placed neighbours' images.
-The chain search walks the identity path, and each branch off it stops at
-its first leaf, a coset representative.
+invariant searches prune with _prune_set: all of a group of at most
+_PRUNE_SET_SIZE + 1 elements but the identity, or the chain's coset
+representatives of a larger one, which is never listed.  A coloring none of
+them preserves is decided, when the group holds more, by a search whose
+refinement starts from the coloring.  Every search backtracks over an
+iterated degree/neighborhood refinement and validates adjacency
+incrementally, so its leaves are exactly the automorphisms.  It fixes the
+vertices of singleton cells, then always places the unplaced vertex with the
+most placed neighbours, so a wrong choice soon fails the adjacency check; a
+vertex's candidates are a bitmask of its cell ANDed with the neighbourhoods
+of its placed neighbours' images.  The chain search walks the identity path,
+and each branch off it stops at its first leaf, a coset representative.
 
 A partition is an ordered list of cells, each holding its vertices in
 increasing order, and a vertex's color is the position of its cell.  The
@@ -35,12 +34,11 @@ graph6 bits) is set from the edge list.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter, ne
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .colorings import EdgeColoring, TotalColoring, VertexColoring
@@ -252,12 +250,12 @@ def _adjacency_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 # Automorphism group enumeration
 # ---------------------------------------------------------------------------
 
-# The invariant searches never list a group of more than this many elements.
-_PRUNE_GROUP_CAP = 6000
-# The orbit prune and stabilizer cut of the invariant searches scan this many
-# group elements of least support at every node.  More cost more per node
-# than they save in nodes: the cor-3.5 star rows ran fastest with 32-100.
+# A group of at most one more element than this prunes the invariant searches
+# with all of its non-identity elements, listed; a larger one, never listed,
+# with its stabilizer chain's coset representatives.
 _PRUNE_SET_SIZE = 64
+# A listing of more elements than this is sorted by byte keys.
+_BYTE_KEYS_PAST = 6000
 
 
 def automorphism_group(
@@ -333,28 +331,18 @@ def _listing(chain: _Chain) -> AutGroup:
     return AutGroup(n=chain.n, elements=tuple(elements))
 
 
-def _smallest_support_automorphisms(G: Graph) -> tuple[Permutation, ...]:
+def _prune_set(G: Graph) -> tuple[Permutation, ...]:
     """The prune set of the invariant searches, non-identity automorphisms
-    of G.  For a listed group, the _PRUNE_SET_SIZE of least support (by
-    support, then in the documented element order), or all of them when
-    there are fewer; for a larger group, the coset representatives of its
+    of G: all of them, in the documented element order, for a group of at
+    most _PRUNE_SET_SIZE + 1 elements; else the coset representatives of its
     stabilizer chain, which generate it.  Refused past the vertex cap like
     automorphism_group, before the cache is read."""
     _check_vertex_cap(G)
-    return _least_support(G, _PRUNE_SET_SIZE)
-
-
-@lru_cache(maxsize=32)
-def _least_support(G: Graph, size: int) -> tuple[Permutation, ...]:
     chain = _chain(G)
-    if chain.order > _PRUNE_GROUP_CAP:  # never listed
+    if chain.order > _PRUNE_SET_SIZE + 1:  # never listed
         return tuple(g for _, gs in chain.reps for g in gs)
-    # Picked through the public lookup, whose calls perfbench's trace counts.
-    fixed = range(G.n)
-    return tuple(heapq.nsmallest(
-        size, automorphism_group(G).nonidentity(),  # stable: ties keep the element order
-        key=lambda p: sum(map(ne, p, fixed)),
-    ))
+    # Through the public lookup, whose calls perfbench's trace counts.
+    return automorphism_group(G).nonidentity()
 
 
 def _has_nontrivial_automorphism(G: Graph, colors: Sequence[int]) -> bool:
@@ -456,11 +444,11 @@ def _element_key(free: tuple[int, ...], count: int) -> Optional[Callable[[Permut
     nontrivial group, read over `free`, the vertices of non-singleton cells
     in cell order (every automorphism fixes the rest, and maps `free` onto
     itself).  None, the plain tuple order, when those come in increasing
-    order.  Else tuple keys are the quickest to build; past _PRUNE_GROUP_CAP
+    order.  Else tuple keys are the quickest to build; past _BYTE_KEYS_PAST
     elements byte keys keep the sort's memory small."""
     if list(free) == sorted(free):
         return None
-    if count > _PRUNE_GROUP_CAP and max(free) < 256:
+    if count > _BYTE_KEYS_PAST and max(free) < 256:
         return lambda p: bytes([p[v] for v in free])
     return itemgetter(*free)
 
@@ -613,7 +601,10 @@ def _subdivision_lifts(G: Graph, elements: Iterable[Permutation]) -> list[Permut
 
 
 def preserves(p: Permutation, c) -> bool:
-    """Does p map every vertex/edge to one of the same color?"""
+    """Does p map every vertex/edge to one of the same color?  ContractError
+    unless p is a permutation of range(len(p)) acting on the domain."""
+    if set(p) != set(range(len(p))):
+        raise ContractError("not a permutation of range(len(p))")
     if isinstance(c, VertexColoring):
         if len(p) != len(c.colors):
             raise ContractError("coloring domain does not match the permutation")

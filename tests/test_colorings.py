@@ -31,6 +31,25 @@ def test_edge_coloring_validation_and_lookup():
         EdgeColoring(P3.edges, (1,), 2)  # length mismatch
 
 
+@pytest.mark.parametrize(
+    "colors, palette", [((1.5, 1), 2), ((True, 2), 2), ((1, 2), 2.5), ((1, 2), True)]
+)
+def test_vertex_coloring_rejects_non_int_colors_and_palettes(colors, palette):
+    with pytest.raises(MalformedInputError):
+        VertexColoring(colors, palette)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [((0, 1), (0, 1)), ((0, 0), (0, 1)), ((1, 0), (1, 2)), ((0, -1), (0, 1)),
+     ((0, 1), (1, True)), ((0, 1), (1, 2.0)), ((0, 1), (1, 2, 3)), [(0, 1), (1, 2)]],
+    ids=["duplicate", "loop", "unnormalised", "negative", "bool", "float", "triple", "list"],
+)
+def test_edge_coloring_rejects_a_malformed_domain(edges):
+    with pytest.raises(MalformedInputError):
+        EdgeColoring(edges, (1, 2), 2)
+
+
 def test_edge_lookup_cache_leaves_value_semantics_alone():
     c = EdgeColoring(path_graph(4).edges, (1, 2, 1), 2)
     assert c.color_of(3, 2) == 1  # fills the cached edge positions

@@ -286,11 +286,11 @@ def test_witnesses_are_pinned(corpus):
 
 
 def test_witnesses_are_pinned_without_listing_groups(corpus, monkeypatch):
-    # With the group-size cap and the prune set at 4, every kind with a group
-    # on every graph with more than 4 automorphisms prunes with the coset
-    # representatives of its stabilizer chain, found without listing the
-    # group, and decides each leaf it reaches by the coloured search, however
-    # few they are: the same items must give the same digest.
+    # With the prune set at 4, every kind with a group on every graph with
+    # more than 5 automorphisms prunes with the coset representatives of its
+    # stabilizer chain, found without listing the group, and decides each
+    # leaf it reaches by the coloured search, however few they are: the same
+    # items must give the same digest.
     calls = {"select": 0, "decide": 0}
 
     def counted(name, fn):
@@ -299,35 +299,31 @@ def test_witnesses_are_pinned_without_listing_groups(corpus, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(symmetry, "_PRUNE_GROUP_CAP", 4)
     monkeypatch.setattr(symmetry, "_PRUNE_SET_SIZE", 4)
-    monkeypatch.setattr(
-        invariants, "_smallest_support_automorphisms",
-        counted("select", invariants._smallest_support_automorphisms),
-    )
+    monkeypatch.setattr(invariants, "_prune_set", counted("select", invariants._prune_set))
     monkeypatch.setattr(
         invariants, "_has_nontrivial_automorphism",
         counted("decide", invariants._has_nontrivial_automorphism),
     )
     clear_invariant_cache()
-    symmetry._least_support.cache_clear()  # cached per graph, at the set size
+    symmetry._chain.cache_clear()
     try:
         test_witnesses_are_pinned(corpus)
     finally:
         clear_invariant_cache()
-        symmetry._least_support.cache_clear()
+        symmetry._chain.cache_clear()
     assert calls["select"] > 500 and calls["decide"] > 500
 
 
 def test_prune_set_size_change_gives_no_stale_prune_set(monkeypatch):
     # K1,8's 40,320 automorphisms are never listed, so its prune set is the
-    # 28 coset representatives of its stabilizer chain, cached per graph and
-    # set size, and the same at any size.  A list cached at a smaller set
-    # size must still give the certified 8 once the size is back.
+    # 28 coset representatives of its stabilizer chain, the same at any set
+    # size below the group order.  A prune set taken at a smaller set size
+    # must not change the certified 8 once the size is back.
     star = star_graph(8)
-    symmetry._least_support.cache_clear()
+    symmetry._chain.cache_clear()
     monkeypatch.setattr(symmetry, "_PRUNE_SET_SIZE", 4)
-    assert len(symmetry._smallest_support_automorphisms(star)) == 28
+    assert len(symmetry._prune_set(star)) == 28
     monkeypatch.undo()
     clear_invariant_cache()
     iv = distinguishing_number(star)
@@ -335,32 +331,38 @@ def test_prune_set_size_change_gives_no_stale_prune_set(monkeypatch):
     assert is_distinguishing(star, iv.witness)
 
 
-def _list_at_most_6000(monkeypatch):
-    """Make listing any group whose chain order is above 6,000 fail, from a
-    cleared chain cache, so no listing is handed out unchecked."""
+def _list_only_prune_sets(monkeypatch):
+    """Make listing any group whose chain order is above _PRUNE_SET_SIZE + 1
+    fail, from a cleared chain cache, so no listing is handed out unchecked."""
     real = symmetry._listing
+    limit = symmetry._PRUNE_SET_SIZE + 1
 
-    def at_most_6000(chain):
-        assert chain.order <= 6000, f"asked to list {chain.order} elements"
+    def at_most_limit(chain):
+        assert chain.order <= limit, f"asked to list {chain.order} elements"
         return real(chain)
 
     symmetry._chain.cache_clear()
-    monkeypatch.setattr(symmetry, "_listing", at_most_6000)
+    monkeypatch.setattr(symmetry, "_listing", at_most_limit)
 
 
 def test_large_group_is_never_listed(monkeypatch):
-    # S(K1,9) has 362,880 automorphisms; D must not list more than 6,000.
-    _list_at_most_6000(monkeypatch)
+    # S(K1,9) has 362,880 automorphisms and K6 has 720; D must list no group
+    # of more than 65 elements.
+    _list_only_prune_sets(monkeypatch)
     clear_invariant_cache()
     iv = distinguishing_number(subdivision_graph(star_graph(9)))
     assert (iv.value, iv.certified) == (3, True)
     assert iv.witness.colors == (1, 1, 1, 1, 2, 2, 2, 3, 3, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3)
+    iv = distinguishing_number(complete_graph(6))
+    assert (iv.value, iv.certified) == (6, True)
+    assert iv.witness.colors == (1, 2, 3, 4, 5, 6)
 
 
 def test_edge_and_total_kinds_never_list_a_large_group(monkeypatch):
-    # K1,8 has 40,320 automorphisms; Dp, chiDp and Dpp must not list more than
-    # 6,000 of them, and keep the witnesses they had when they listed all.
-    _list_at_most_6000(monkeypatch)
+    # K1,8 has 40,320 automorphisms; Dp, chiDp and Dpp must list no group of
+    # more than 65 elements, and keep the witnesses they had when they listed
+    # all.
+    _list_only_prune_sets(monkeypatch)
     clear_invariant_cache()
     G = star_graph(8)
     distinct = tuple(range(1, 9))
@@ -430,16 +432,17 @@ _PRUNE_SUBSET_GRAPHS = [
 
 @pytest.mark.parametrize("G", _PRUNE_SUBSET_GRAPHS)
 def test_prune_set_smaller_than_the_group(G):
-    # Groups of 72-720 elements: the invariants prune with only the first
-    # _PRUNE_SET_SIZE of them, and decide the leaves by the coloured search.
-    # Here the whole group drives the prune, so no leaf needs deciding.
+    # Groups of 72-720 elements: the invariants prune with only the coset
+    # representatives of the stabilizer chain, and decide the leaves by the
+    # coloured search.  Here the whole group drives the prune, so no leaf
+    # needs deciding.
+    reps = tuple(g for _, gs in symmetry._chain(G).reps for g in gs)
+    assert symmetry._prune_set(G) == reps
     aut = automorphism_group(G)
     by_support = sorted(  # stable: ties keep the documented element order
         aut.nonidentity(), key=lambda p: sum(pi != i for i, pi in enumerate(p))
     )
-    cap = symmetry._PRUNE_SET_SIZE
-    assert symmetry._smallest_support_automorphisms(G) == tuple(by_support[:cap])
-    assert len(by_support) > cap
+    assert len(reps) < len(by_support) and len(by_support) > symmetry._PRUNE_SET_SIZE
     autos = [aut.elements[0], *by_support]  # small support first: the oracles reject sooner
     compared = 0
     for kind, spec in _KINDS.items():
@@ -479,16 +482,16 @@ _PRUNE_SUBSET_VALUES = {
 
 @pytest.mark.parametrize("G", _PRUNE_SUBSET_GRAPHS)
 def test_prune_set_and_decider_as_the_invariants_run_them(G, request):
-    # The configuration the invariants use on a group of more than 64
-    # elements: the 64 of least support drive the prune, and the coloured
-    # search decides every leaf the search reaches.  At every palette up to
+    # The configuration the invariants use on a group of more than 65
+    # elements: the chain's coset representatives drive the prune, and the
+    # coloured search decides every leaf the search reaches.  At every palette up to
     # the value, the proper kinds give the least valid vector, and the others
     # give none below their exact value and, at it, the vector of a search
     # that prunes with the whole group.
     values = _PRUNE_SUBSET_VALUES[request.node.callspec.id]
     aut = automorphism_group(G)
-    elements = symmetry._smallest_support_automorphisms(G)
-    assert len(elements) == symmetry._PRUNE_SET_SIZE < aut.order - 1
+    elements = symmetry._prune_set(G)
+    assert len(elements) < aut.order - 1
     compared = 0
     for kind, spec in _KINDS.items():
         if spec.group is None:

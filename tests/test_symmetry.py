@@ -25,7 +25,7 @@ from symbreak.invariants import clear_invariant_cache, distinguishing_number
 from symbreak.symmetry import (
     _individualize,
     _refine,
-    _smallest_support_automorphisms,
+    _prune_set,
     automorphism_group,
     canonical_form,
     canonical_labeling,
@@ -110,19 +110,19 @@ def test_vertex_cap_is_checked_before_the_cache(monkeypatch):
     # out once SYMBREAK_MAX_VERTICES is lowered past the graph's order.
     C10 = cycle_graph(10)
     assert automorphism_group(C10).order == 20
-    assert len(_smallest_support_automorphisms(C10)) == 19
+    assert len(_prune_set(C10)) == 19
     monkeypatch.setenv("SYMBREAK_MAX_VERTICES", "5")
     with pytest.raises(ResourceCapError):
         automorphism_group(C10)
     with pytest.raises(ResourceCapError):
-        _smallest_support_automorphisms(C10)
+        _prune_set(C10)
 
 
 def test_explicit_caps_share_the_cached_search(monkeypatch):
     # D, the prune set, the default call and an explicit max_order all read
-    # one chain, found by one uniform-colour search.  S(K1,8)'s 40,320
-    # elements are past the listing cap of the invariant searches; with a
-    # cache keyed by the order cap, these calls took four searches.
+    # one chain, found by one uniform-colour search.  K5's 120 and S(K1,8)'s
+    # 40,320 elements are more than the invariant searches list; with a
+    # cache keyed by the order cap, the S(K1,8) calls took four searches.
     searched = []
     real = symmetry._search_setup
 
@@ -134,11 +134,10 @@ def test_explicit_caps_share_the_cached_search(monkeypatch):
     monkeypatch.setattr(symmetry, "_search_setup", counted)
     for G, order in ((complete_graph(5), 120), (subdivision_graph(star_graph(8)), 40320)):
         symmetry._chain.cache_clear()
-        symmetry._least_support.cache_clear()
         clear_invariant_cache()
         searched.clear()
         distinguishing_number(G)
-        _smallest_support_automorphisms(G)
+        _prune_set(G)
         group = automorphism_group(G)
         assert group.order == order
         assert automorphism_group(G, max_order=order) is group
@@ -217,28 +216,28 @@ def _closure(gens, n):
     ids=["S(K1,8)", "K8", "S(FwC^w) cap 20", "K5 cap 20"],
 )
 def test_unlisted_prune_set_generates_the_group(monkeypatch, G, cap):
-    # With the group past the listing cap, the prune set is the coset
-    # representatives of its stabilizer chain: automorphisms other than the
-    # identity, whatever _PRUNE_SET_SIZE is (28 for the 40,320 elements of
-    # the first two cases).  Where the group is small enough to close, they
-    # generate all of it.
-    monkeypatch.setattr(symmetry, "_PRUNE_GROUP_CAP", cap)
-    symmetry._least_support.cache_clear()  # cached per graph, whatever the cap
+    # With the group past _PRUNE_SET_SIZE + 1 elements, the prune set is the
+    # coset representatives of its stabilizer chain: automorphisms other than
+    # the identity, the same at any smaller set size (28 for the 40,320
+    # elements of the first two cases).  Where the group is small enough to
+    # close, they generate all of it.
+    monkeypatch.setattr(symmetry, "_PRUNE_SET_SIZE", cap)
+    symmetry._chain.cache_clear()
     try:
-        reps = _smallest_support_automorphisms(G)
+        reps = _prune_set(G)
         assert identity_permutation(G.n) not in reps
         assert all(is_automorphism(G, p) for p in reps)
-        for size in (1, 4, 10_000):
+        for size in (1, 4, cap):
             monkeypatch.setattr(symmetry, "_PRUNE_SET_SIZE", size)
-            assert _smallest_support_automorphisms(G) == reps
+            assert _prune_set(G) == reps
         group = automorphism_group(G)
-        assert group.order > cap
+        assert group.order > cap + 1
         if group.order == 40320:
             assert len(reps) == 28
         else:
             assert _closure(reps, G.n) == set(group.elements)
     finally:
-        symmetry._least_support.cache_clear()
+        symmetry._chain.cache_clear()
 
 
 def test_order_cap():
@@ -527,6 +526,13 @@ def test_preserves_domain_mismatch():
     # an edge endpoint the permutation does not reach
     with pytest.raises(ContractError):
         preserves((0, 1, 2), EdgeColoring(complete_graph(4).edges, (1,) * 6, 1))
+    # not permutations: an image out of range, a negative one, a repeated one
+    P3 = path_graph(3)
+    for p in ((0, 5, 2), (2, 1, -3)):
+        with pytest.raises(ContractError):
+            preserves(p, VertexColoring((1, 2, 1), 2))
+    with pytest.raises(ContractError):
+        preserves((0, 1, 0), EdgeColoring(P3.edges, (1, 1), 1))
 
 
 @pytest.mark.parametrize("p", [(1, 0, 0), (0, 1), (0, 1, 2, 3), (0, 1, 3), (0, "a", 1)])

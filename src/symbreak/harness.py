@@ -48,7 +48,13 @@ from .invariants import (
     distinguishing_number,
     total_distinguishing_number,
 )
-from .symmetry import automorphism_group, canonical_form, is_isomorphic, is_isomorphism
+from .symmetry import (
+    _adjacency_masks,
+    automorphism_group,
+    canonical_form,
+    is_isomorphic,
+    is_isomorphism,
+)
 from .transforms import endline_graph, line_graph, middle_graph, subdivision_graph
 
 BUILTIN_MAX_ORDER = 6
@@ -77,22 +83,58 @@ class CorpusSpec:
         )
 
 
+def _connected_without(masks: list[int], v: int) -> bool:
+    """Whether the graph with adjacency bitmasks ``masks`` (at least two
+    vertices) stays connected once vertex v is deleted."""
+    alive = ((1 << len(masks)) - 1) ^ (1 << v)
+    seen = frontier = alive & -alive
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & alive & ~seen
+        seen |= frontier
+    return seen == alive
+
+
 @cache
 def _isomorphism_classes(n: int, connected_only: bool) -> tuple[Graph, ...]:
     """Every isomorphism class on n vertices once, canonically labelled and
-    sorted by graph6, by vertex augmentation: each class on n-1 vertices gains
-    vertex n-1 joined to each neighbour subset (nonempty when connected_only),
-    deduplicated on canonical form.  Complete: deleting a vertex (a non-cut
-    vertex, when connected) leaves a class on n-1 vertices."""
+    sorted by graph6, by canonical deletion (McKay, J. Algorithms 26, 1998).
+
+    Each class P on n-1 vertices gains vertex n-1 joined to each neighbour
+    subset (nonempty when connected_only).  A vertex is deletable when
+    deleting it leaves a graph that is enumerated: any vertex, or only a
+    non-cut vertex when connected_only.  A child is dropped, before it is
+    labelled, when some old vertex of smaller degree than vertex n-1 is
+    deletable in it; the children kept are deduplicated on canonical form.
+    Complete: in any class H on n vertices, take a deletable vertex u of least
+    degree among the deletable ones (a connected graph has two non-cut
+    vertices).  H - u is some class P, and H is the child of P that joins
+    vertex n-1 to the images of u's neighbours; no old vertex of that child is
+    both deletable and of smaller degree, so it is kept.
+    """
     if n == 1:
         return (from_edge_list(1, []),)
-    reps = {
-        canonical_form(from_edge_list(
-            n, G.edges + tuple((v, n - 1) for v in range(n - 1) if (mask >> v) & 1)
-        ))
-        for G in _isomorphism_classes(n - 1, connected_only)
-        for mask in range(int(connected_only), 1 << (n - 1))
-    }
+    reps = set()
+    for G in _isomorphism_classes(n - 1, connected_only):
+        parent = _adjacency_masks(n - 1, G.edges)
+        degrees = [m.bit_count() for m in parent]
+        for mask in range(int(connected_only), 1 << (n - 1)):
+            d = mask.bit_count()
+            lower = [v for v, dv in enumerate(degrees) if dv + ((mask >> v) & 1) < d]
+            if lower and not connected_only:
+                continue
+            if lower:
+                child = [m | (((mask >> v) & 1) << (n - 1)) for v, m in enumerate(parent)]
+                child.append(mask)
+                if any(_connected_without(child, v) for v in lower):
+                    continue
+            reps.add(canonical_form(from_edge_list(
+                n, G.edges + tuple((v, n - 1) for v in range(n - 1) if (mask >> v) & 1)
+            )))
     return tuple(parse_graph6(s) for s in sorted(reps))
 
 

@@ -317,6 +317,7 @@ def _search_palette(
         limit = maxc + 1 if maxc < r else r
         uk = used[k]
         lk = later[k]
+        waiting = buckets[k]  # an empty bucket wakes nothing, so no wake is called
         last = k == npos - 1
         for v in range(1, limit + 1):
             bit = 1 << v
@@ -345,7 +346,7 @@ def _search_palette(
                 if wiped or (singles and propagate(k)):  # some position has no color left
                     restore(mark)
                     continue
-            pruned, moves = wake(k)
+            pruned, moves = wake(k) if waiting else (False, ())
             if not pruned:  # a vector found ends the search: nothing is undone
                 if last:
                     if nontrivial is None or not nontrivial(colors):
@@ -354,7 +355,8 @@ def _search_palette(
                     found = rec(k + 1, v if v > maxc else maxc)
                     if found is not None:
                         return found
-            undo(moves)
+            if moves:
+                undo(moves)
             if lk:
                 restore(mark)
         colors[k] = 0

@@ -75,6 +75,66 @@ def test_augmentation_reproduces_shipped_order7_corpus(order7_path):
     assert [to_graph6(G) for G in _isomorphism_classes(7, True)] == lines
 
 
+def test_all_graphs_of_order_7_are_pinned():
+    # at order 7 the degree filter of the all-graphs enumeration drops most
+    # children; the digest was recorded from the enumerator that labelled
+    # every child
+    from symbreak.harness import _isomorphism_classes
+
+    graphs = _isomorphism_classes(7, False)
+    assert len(graphs) == 1044  # OEIS A000088
+    text = "".join(to_graph6(G) + "\n" for G in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "43b5b292f86ba1b109ade7d5a9257d33d8188b8ae621086b9de3ace7dbf4ddcd"
+    )
+
+
+def test_canonical_deletion_labels_under_half_the_children(monkeypatch):
+    # labelling every child of orders 2..6 takes 759 canonical forms
+    from symbreak import harness
+
+    real = harness.canonical_form
+    calls = []
+
+    def counted(G):
+        calls.append(G.n)
+        return real(G)
+
+    harness._isomorphism_classes.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(harness, "canonical_form", counted)
+            counts = [len(harness._isomorphism_classes(n, True)) for n in range(1, 7)]
+    finally:
+        # later tests must not read classes enumerated under the wrapper
+        harness._isomorphism_classes.cache_clear()
+    assert counts == [1, 1, 2, 6, 21, 112]
+    assert len(calls) < 759 / 2
+
+
+@pytest.mark.parametrize("density", [0.15, 0.35, 0.6])
+def test_cut_test_matches_connectivity_of_the_deleted_graph(density):
+    import random
+
+    from symbreak.harness import _connected_without
+    from symbreak.symmetry import _adjacency_masks
+
+    rng = random.Random(f"cut-{density}")
+    seen = {True: 0, False: 0}
+    for n in range(2, 21):
+        for _ in range(4):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+            masks = _adjacency_masks(n, edges)
+            for v in range(n):
+                rest = from_edge_list(n - 1, [
+                    (a - (a > v), b - (b > v)) for a, b in edges if v not in (a, b)
+                ])
+                expected = is_connected(rest)
+                assert _connected_without(masks, v) is expected, (n, edges, v)
+                seen[expected] += 1
+    assert seen[True] and seen[False]
+
+
 def test_enumerate_corpus_builtin_caps_and_filters():
     with pytest.raises(MalformedInputError):
         enumerate_corpus(CorpusSpec(max_order=7))

@@ -163,7 +163,12 @@ def _max_clique_size(n: int, pairs: Sequence[tuple[int, int]]) -> int:
             cand ^= 1 << v
             expand(cand & masks[v], size + 1)
 
-    expand((1 << n) - 1, 0)
+    # expand refers to itself through its closure cell, a reference cycle
+    # that only the collector would free; clearing the cell frees it now.
+    try:
+        expand((1 << n) - 1, 0)
+    finally:
+        expand = None
     return best
 
 
@@ -362,7 +367,14 @@ def _search_palette(
         colors[k] = 0
         return None
 
-    return rec(0, 0)
+    # rec refers to itself through its closure cell, so the colours, trail
+    # and buckets would stay in a reference cycle until the collector ran;
+    # clearing the cell lets reference counting free them at return, also
+    # when the budget is exceeded.
+    try:
+        return rec(0, 0)
+    finally:
+        rec = None
 
 
 def _minimize(
@@ -376,14 +388,13 @@ def _minimize(
     late_perms: Optional[Callable[[], Sequence[Permutation]]],
     lower: int,
     witness_only: bool,
-    max_positions: Optional[int],
+    cap: int,
 ) -> tuple[int, tuple[int, ...], bool]:
     """The least palette with a valid vector, the vector, and whether the
     palette is certified.  With ``late_perms`` each palette is first searched
     without a prune; once that search has used _PRUNE_AFTER_NODES nodes,
     ``late_perms()`` gives the prune elements and the palette starts over,
     so an easy search never pays for a group."""
-    cap = vertex_cap(max_positions, DEFAULT_CERTIFY_CAP)
     if npos > cap and not witness_only:
         raise ResourceCapError(
             f"{kind}: {npos} positions exceeds the exhaustive-certification cap {cap} "
@@ -478,13 +489,13 @@ def _no_bound(*_) -> int:
     return 1
 
 
-def _clique_bound(G, npos, pairs, witness_only, max_positions) -> int:
+def _clique_bound(G, npos, pairs, witness_only, cap) -> int:
     return _max_clique_size(npos, pairs)
 
 
-def _chromatic_bound(G, npos, pairs, witness_only, max_positions) -> int:
+def _chromatic_bound(G, npos, pairs, witness_only, cap) -> int:
     # By module-level name, so that a rebinding of chromatic_number is seen.
-    return chromatic_number(G, witness_only=witness_only, max_positions=max_positions).value
+    return chromatic_number(G, witness_only=witness_only, max_positions=cap).value
 
 
 def _total_witness(G: Graph, vec: tuple[int, ...], r: int) -> TotalColoring:
@@ -502,7 +513,7 @@ class _Kind(NamedTuple):
     positions: Callable[[Graph], int]
     needs_edge: bool
     conflicts: Callable[[Graph], Sequence[tuple[int, int]]]
-    lower: Callable[..., int]  # (G, npos, pairs, witness_only, max_positions)
+    lower: Callable[..., int]  # (G, npos, pairs, witness_only, cap)
     # (G, automorphisms of G) -> the same elements as position permutations
     group: Optional[Callable[[Graph, Sequence[Permutation]], Sequence[Permutation]]]
     # G -> does a non-identity automorphism keep these position colors?
@@ -550,6 +561,7 @@ def _invariant(
     kind: str, G: Graph, witness_only: bool, max_positions: Optional[int]
 ) -> InvariantValue:
     spec = _KINDS[kind]
+    cap = vertex_cap(max_positions, DEFAULT_CERTIFY_CAP)  # checked before the memo
     if not is_connected(G):
         raise ContractError(f"{spec.name} requires a connected graph")
     if spec.needs_edge and G.num_edges == 0:
@@ -560,7 +572,7 @@ def _invariant(
         return got
     npos = spec.positions(G)
     pairs = spec.conflicts(G)
-    lower = spec.lower(G, npos, pairs, witness_only, max_positions)
+    lower = spec.lower(G, npos, pairs, witness_only, cap)
     late_perms = None
     if spec.group is None:  # chi: a prune group only once the search is hard
         perms, nontrivial, late_perms = (), None, partial(_late_vertex_prune, G)
@@ -574,7 +586,7 @@ def _invariant(
     value, vec, certified = _minimize(
         kind=kind, npos=npos, conflict_pairs=pairs, perms=perms, nontrivial=nontrivial,
         distinguishing=spec.group is not None, late_perms=late_perms, lower=lower,
-        witness_only=witness_only, max_positions=max_positions,
+        witness_only=witness_only, cap=cap,
     )
     out = InvariantValue(kind, value, spec.witness(G, vec, value), certified)
     if key is not None:

@@ -54,10 +54,13 @@ DEFAULT_ORDER_CAP = 10_000_000
 def vertex_cap(explicit: Optional[int], default: int) -> int:
     """The explicit cap if given, else SYMBREAK_MAX_VERTICES, else default.
 
-    Raises MalformedInputError if the variable is set to anything but a
-    positive integer.
+    Raises MalformedInputError if the explicit cap is not a positive int
+    (bool excluded), or the variable is set to anything but a positive
+    integer.
     """
     if explicit is not None:
+        if type(explicit) is not int or explicit < 1:
+            raise MalformedInputError(f"the cap must be a positive int, got {explicit!r}")
         return explicit
     env = os.environ.get("SYMBREAK_MAX_VERTICES")
     if not env:
@@ -436,6 +439,10 @@ def _automorphisms(s: _Setup, chain: Optional[dict[int, list[Permutation]]] = No
                 chain.setdefault(d, []).append(tuple(image))
         return False
 
+    # rec's reference cycle is left for the collector on purpose: breaking
+    # it stops nearly all full collections, and CPython 3.11 empties its
+    # tuple free lists only in those, so peak RSS of the builtin-corpus
+    # sweeps grew by 8-14%.
     return rec(s.forced, used, False)
 
 
@@ -527,7 +534,12 @@ def canonical_labeling(G: Graph) -> tuple[Permutation, int]:
             explored.append(v)
             rec(_individualize(G, cells, i, v), path + (v,))
 
-    rec(_refine(G, [0] * n), ())
+    # rec refers to itself through its closure cell; clearing the cell lets
+    # reference counting free the partitions and automorphisms at return.
+    try:
+        rec(_refine(G, [0] * n), ())
+    finally:
+        rec = None
     return best["perm"], best["code"]
 
 

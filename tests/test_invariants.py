@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -724,3 +725,42 @@ def test_stabilizer_cut_keeps_every_palette_answer_on_twin_rich_graphs():
             checked += 1
             kinds.add(kind)
     assert checked > 100 and kinds == {"D", "chiD", "Dp", "chiDp", "Dpp"}
+
+
+def test_searches_leave_no_reference_cycles():
+    # The palette, clique and canonical-labelling searches recurse through
+    # closures that refer to themselves.  Each clears that reference at
+    # return, so reference counting frees the search state and the
+    # collector finds nothing: one call each on S(K2,3) otherwise leaves
+    # dozens of unreachable objects.
+    G = subdivision_graph(complete_bipartite_graph(2, 3))
+    spec = _KINDS["chiD"]
+    npos = spec.positions(G)
+    pairs = spec.conflicts(G)
+    later = [[] for _ in range(npos)]
+    for a, b in pairs:
+        later[a].append(b)
+    perms = spec.group(G, automorphism_group(G).nonidentity())
+    calls = (
+        lambda: _search_palette(npos, later, perms, 3),
+        lambda: invariants._max_clique_size(npos, pairs),
+        lambda: symmetry.canonical_labeling(G),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            assert call() is not None
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("cap", ["7", True, 2.5, 0, -3])
+def test_explicit_cap_must_be_a_positive_int(cap):
+    C5 = cycle_graph(5)
+    chromatic_number(C5)  # a memoised value is no way round the check
+    with pytest.raises(MalformedInputError, match="positive int"):
+        chromatic_number(C5, max_positions=cap)
+    with pytest.raises(MalformedInputError, match="positive int"):
+        automorphism_group(C5, max_vertices=cap)

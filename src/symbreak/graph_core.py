@@ -12,22 +12,22 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from itertools import chain, combinations, repeat
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import GraphFormatError, MalformedInputError
 
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class VertexLabel:
+class VertexLabel(NamedTuple):
     """Provenance of a vertex in a (possibly transformed) graph.
 
     ``kind`` is one of ``"original"``, ``"edge_vertex"``, ``"pendant"``.
-    ``a`` (and ``b`` for edge vertices) index vertices of the source graph.
-    Labels are metadata only: they never influence adjacency, equality or
-    isomorphism.
+    ``a`` (and ``b`` for edge vertices, ``a < b``) index vertices of the
+    source graph.  Labels are metadata only: they never influence adjacency,
+    equality or isomorphism of graphs.  A label is the tuple ``(kind, a, b)``,
+    so it is built, hashed and compared as a tuple.
     """
 
     kind: str
@@ -385,7 +385,7 @@ def incident_edge_pairs(G: Graph) -> list[Edge]:
         at[u].append(k)
         at[v].append(k)
     # Two edges of a simple graph share at most one endpoint: no duplicates.
-    return sorted(pair for ks in at for pair in combinations(ks, 2))
+    return sorted(chain.from_iterable(map(combinations, at, repeat(2))))
 
 
 def is_connected(G: Graph) -> bool:

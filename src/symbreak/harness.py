@@ -369,7 +369,7 @@ def _check_thm_4_5(G: Graph) -> dict:
 def _check_thm_4_7(G: Graph) -> dict:
     d = distinguishing_number(G).value
     cons = subdivision_proper_distinguishing(G)
-    chids = distinguishing_chromatic_number(subdivision_graph(G))
+    chids = distinguishing_chromatic_number(cons.graph)  # cons.graph is S(G)
     if d >= 3:
         ok = cons.certified and cons.palette == d and chids.value <= d
         expected = f"<= {d}"

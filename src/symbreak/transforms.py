@@ -22,7 +22,8 @@ def _require_edges(G: Graph, op: str) -> None:
 def line_graph(G: Graph) -> Graph:
     """Graph on E(G); two edge vertices adjacent iff the edges share an endpoint."""
     _require_edges(G, "line graph")
-    labels = tuple(VertexLabel.edge_vertex(u, v) for u, v in G.edges)
+    # Each pair in G.edges is already ordered u < v, as an edge label needs.
+    labels = tuple(VertexLabel("edge_vertex", u, v) for u, v in G.edges)
     return from_edge_list(G.num_edges, incident_edge_pairs(G), labels)
 
 
@@ -30,7 +31,7 @@ def endline_graph(G: Graph) -> Graph:
     """G plus one new pendant vertex attached to each original vertex."""
     n = G.n
     pairs = list(G.edges) + [(i, n + i) for i in range(n)]
-    labels = original_labels(n) + tuple(VertexLabel.pendant(i) for i in range(n))
+    labels = original_labels(n) + tuple(VertexLabel("pendant", i) for i in range(n))
     return from_edge_list(2 * n, pairs, labels)
 
 
@@ -38,7 +39,7 @@ def _incidence(G: Graph) -> tuple[list[Edge], tuple[VertexLabel, ...]]:
     """Incidence pairs on V(G) u E(G), edge k being vertex n + k, and the labels."""
     n = G.n
     pairs = [(u, n + k) for k, e in enumerate(G.edges) for u in e]
-    labels = original_labels(n) + tuple(VertexLabel.edge_vertex(u, v) for u, v in G.edges)
+    labels = original_labels(n) + tuple(VertexLabel("edge_vertex", u, v) for u, v in G.edges)
     return pairs, labels
 
 

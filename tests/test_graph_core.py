@@ -12,6 +12,7 @@ from symbreak.graph_core import (
     cycle_graph,
     from_edge_list,
     graph_from_name,
+    incident_edge_pairs,
     is_connected,
     is_cycle_graph,
     is_irreducible,
@@ -87,6 +88,40 @@ def test_from_edge_list_rejects_out_of_range():
 def test_from_edge_list_rejects_malformed_entries(n, pairs):
     with pytest.raises(MalformedInputError):
         from_edge_list(n, pairs)
+
+
+def test_vertex_label_values():
+    label = VertexLabel.edge_vertex(3, 1)
+    assert label == VertexLabel("edge_vertex", 1, 3)
+    assert hash(label) == hash(VertexLabel("edge_vertex", 1, 3))
+    assert VertexLabel.original(0) == ("original", 0, -1)
+    assert (label.kind, label.a, label.b) == ("edge_vertex", 1, 3)
+    assert [str(VertexLabel.original(2)), str(label), str(VertexLabel.pendant(4))] == [
+        "original(2)", "edge(1,3)", "pendant(4)",
+    ]
+    kinds = [VertexLabel.original(0), label, VertexLabel.pendant(0)]
+    assert [(x.is_original, x.is_edge_vertex, x.is_pendant) for x in kinds] == [
+        (True, False, False), (False, True, False), (False, False, True),
+    ]
+
+
+def test_from_edge_list_rejects_equal_labels_built_separately():
+    with pytest.raises(MalformedInputError):
+        from_edge_list(2, [(0, 1)], [VertexLabel.edge_vertex(0, 1), VertexLabel("edge_vertex", 0, 1)])
+    with pytest.raises(MalformedInputError):
+        from_edge_list(2, [], [VertexLabel.pendant(1), VertexLabel.pendant(1)])
+
+
+def test_incident_edge_pairs_matches_the_definition(corpus):
+    # every index pair i < j of edges that share an endpoint, by brute force
+    rng = random.Random(27)
+    graphs = [G for n in corpus for G in corpus[n]]
+    graphs += [from_edge_list(n, _shuffled_pairs(rng, n, density))
+               for n in range(1, 13) for density in (0.1, 0.3, 0.6, 1.0)]
+    for G in graphs:
+        expected = [(i, j) for j, f in enumerate(G.edges) for i, e in enumerate(G.edges[:j])
+                    if set(e) & set(f)]
+        assert incident_edge_pairs(G) == sorted(expected)
 
 
 def _fields(G):

@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from symbreak.cli import _label_map
 from symbreak.errors import MalformedInputError
 from symbreak.graph_core import (
     bipartition,
@@ -10,6 +14,7 @@ from symbreak.graph_core import (
     named_graph,
     NamedGraphSpec,
     path_graph,
+    to_graph6,
 )
 from symbreak.invariants import chromatic_number
 from symbreak.symmetry import is_isomorphic
@@ -150,3 +155,17 @@ def test_transforms_reject_edgeless():
     for op in (subdivision_graph, middle_graph):
         with pytest.raises(MalformedInputError):
             op(lonely)
+
+
+def test_transform_labels_are_pinned(corpus):
+    # graph6 and label map of the line, endline, subdivision and middle graph
+    # of every connected graph of order 3..6, in that order: 564 lines
+    lines = [
+        to_graph6(H) + " " + json.dumps(_label_map(H), sort_keys=True) + "\n"
+        for n in range(3, 7) for G in corpus[n]
+        for H in (line_graph(G), endline_graph(G), subdivision_graph(G), middle_graph(G))
+    ]
+    assert len(lines) == 564
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "55fd2b0e9886b7f90f5171a5a312a175e2fbf715f00fb32b9004b7ed294cc521"
+    )

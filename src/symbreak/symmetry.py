@@ -1,15 +1,15 @@
 """Automorphism groups, isomorphism testing, canonical labeling, group actions.
 
 Each graph's group is searched once, into a stabilizer chain cached per
-graph (_chain) with its order, the product of the orbit lengths.
-automorphism_group checks both caps on every call, the order cap against
-that order, and lists the group from the chain on first request.  The
-invariant searches prune with _prune_set: all of a group of at most
-_PRUNE_SET_SIZE + 1 elements but the identity, or the chain's coset
-representatives of a larger one, which is never listed.  A coloring none of
-them preserves is decided, when the group holds more, by a search whose
-refinement starts from the coloring.  Every search backtracks over an
-iterated degree/neighborhood refinement and validates adjacency
+graph (_chain) with its order, the product of the orbit lengths: an
+AutGroup, which lists its elements only when asked.  automorphism_group
+checks both caps on every call, the order cap against that order, and
+returns that cached group.  The invariant searches prune with _prune_set:
+all of a group of at most _PRUNE_SET_SIZE + 1 elements but the identity, or
+the chain's coset representatives of a larger one, which is never listed.
+A coloring none of them preserves is decided, when the group holds more, by
+a search whose refinement starts from the coloring.  Every search backtracks
+over an iterated degree/neighborhood refinement and validates adjacency
 incrementally, so its leaves are exactly the automorphisms.  It fixes the
 vertices of singleton cells, then always places the unplaced vertex with the
 most placed neighbours, so a wrong choice soon fails the adjacency check; a
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -119,38 +119,50 @@ def permute_graph(G: Graph, p: Permutation) -> Graph:
     return from_edge_list(G.n, [(p[u], p[v]) for u, v in G.edges], labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutGroup:
-    """The full automorphism group of a graph, one permutation per element.
+    """The full automorphism group of a graph, as a stabilizer chain along
+    _Setup.order, from _automorphisms: `reps` pairs each depth d, as found,
+    with a coset representative per vertex w != order[d] in the orbit of
+    order[d] under the pointwise stabilizer of order[:d], so `order` is the
+    product of one more than their numbers.  A stabilizer's chain is one
+    level above the trivial group: depth 0 paired with every element but the
+    identity (no level for a trivial one).  `free` is the cell order past the
+    singleton cells.  `elements` lists the group on first request.
 
     Element order: sort the vertices by (size of their refined colour cell,
     cell colour, index); the elements come in lexicographic order of their
     images read in that vertex order.  The identity is always first.  The
-    elements are built as products of coset representatives of a stabilizer
-    chain and then sorted into that order, so it does not depend on how
-    they were found.
+    elements are built as products of coset representatives and then sorted
+    into that order, so it does not depend on how they were found.
     """
 
     n: int
-    elements: tuple[Permutation, ...]
+    free: tuple[int, ...]
+    reps: tuple[tuple[int, tuple[Permutation, ...]], ...]
+    order: int
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return _listing(self)
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.elements) == 1
+        return self.order == 1
 
     def nonidentity(self) -> tuple[Permutation, ...]:
-        ident = identity_permutation(self.n)
-        return tuple(p for p in self.elements if p != ident)
+        return self.elements[1:]
+
+    def generators(self) -> tuple[Permutation, ...]:
+        """The coset representatives of every level, which generate the
+        group; the group is not listed."""
+        return tuple(g for _, gs in self.reps for g in gs)
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +279,19 @@ def automorphism_group(
     max_vertices: Optional[int] = None,
     max_order: int = DEFAULT_ORDER_CAP,
 ) -> AutGroup:
-    """Enumerate every adjacency-preserving bijection of G.
+    """The group of every adjacency-preserving bijection of G.
 
     Provenance labels are ignored: this is pure graph symmetry.  The group
-    is listed from G's cached stabilizer chain on first request and kept
-    there; both caps are checked on every call, the order cap against the
+    is G's cached stabilizer chain, which lists its elements only when
+    asked; both caps are checked on every call, the order cap against the
     chain's order, so a cached group is refused past a lowered cap.  Raises
     ResourceCapError if the graph order or the group order exceeds its cap.
     """
     _check_vertex_cap(G, max_vertices)
-    chain = _chain(G)
-    if chain.order > max_order:
+    group = _chain(G)
+    if group.order > max_order:
         raise ResourceCapError(f"automorphism group larger than cap {max_order}")
-    if chain.group is None:
-        chain.group = _listing(chain)
-    return chain.group
+    return group
 
 
 def _check_vertex_cap(G: Graph, max_vertices: Optional[int] = None) -> None:
@@ -293,45 +303,29 @@ def _check_vertex_cap(G: Graph, max_vertices: Optional[int] = None) -> None:
         )
 
 
-@dataclass(eq=False, slots=True)
-class _Chain:
-    """Aut(G) as a stabilizer chain along _Setup.order, from _automorphisms:
-    `reps` pairs each depth d, as found, with a coset representative per
-    vertex w != order[d] in the orbit of order[d] under the pointwise
-    stabilizer of order[:d], so `order` = |G| is the product of one more than
-    their numbers.  `free` is the cell order past the singleton cells.  Tuples
-    of ints only, which the collector stops scanning; `group` is the listing."""
-
-    n: int
-    free: tuple[int, ...]
-    reps: tuple[tuple[int, tuple[Permutation, ...]], ...]
-    order: int
-    group: Optional[AutGroup] = None
-
-
 @lru_cache(maxsize=32)
-def _chain(G: Graph) -> _Chain:
+def _chain(G: Graph) -> AutGroup:
     """G's stabilizer chain, from one search; the callers check the vertex cap."""
     s = _search_setup(G, [0] * G.n)
     found: dict[int, list[Permutation]] = {}
     _automorphisms(s, found)
     reps = tuple((d, tuple(gs)) for d, gs in found.items())
     order = math.prod(len(gs) + 1 for _, gs in reps)
-    return _Chain(G.n, tuple(s.cell_order[s.forced :]), reps, order)
+    return AutGroup(G.n, tuple(s.cell_order[s.forced :]), reps, order)
 
 
-def _listing(chain: _Chain) -> AutGroup:
-    """The whole group of the chain in the documented order, built bottom up:
-    G_d is G_{d+1} followed by the coset g G_{d+1} of each representative g."""
-    elements = [identity_permutation(chain.n)]
-    for _, gs in sorted(chain.reps, reverse=True):
+def _listing(group: AutGroup) -> tuple[Permutation, ...]:
+    """The whole group in the documented order, built bottom up: G_d is
+    G_{d+1} followed by the coset g G_{d+1} of each representative g."""
+    elements = [identity_permutation(group.n)]
+    for _, gs in sorted(group.reps, reverse=True):
         below = elements[1:]  # G_{d+1} but the identity
         for g in gs:
             elements.append(g)
             elements += [tuple(map(g.__getitem__, h)) for h in below]
     if len(elements) > 2:  # else the identity is already first
-        elements.sort(key=_element_key(chain.free, len(elements)))
-    return AutGroup(n=chain.n, elements=tuple(elements))
+        elements.sort(key=_element_key(group.free, len(elements)))
+    return tuple(elements)
 
 
 def _prune_set(G: Graph) -> tuple[Permutation, ...]:
@@ -341,9 +335,9 @@ def _prune_set(G: Graph) -> tuple[Permutation, ...]:
     stabilizer chain, which generate it.  Refused past the vertex cap like
     automorphism_group, before the cache is read."""
     _check_vertex_cap(G)
-    chain = _chain(G)
-    if chain.order > _PRUNE_SET_SIZE + 1:  # never listed
-        return tuple(g for _, gs in chain.reps for g in gs)
+    group = _chain(G)
+    if group.order > _PRUNE_SET_SIZE + 1:  # never listed
+        return group.generators()
     # Through the public lookup, whose calls perfbench's trace counts.
     return automorphism_group(G).nonidentity()
 
@@ -640,6 +634,7 @@ def preserves(p: Permutation, c) -> bool:
 
 
 def stabilizer(A: AutGroup, c) -> AutGroup:
-    """Subgroup of A preserving the coloring.  Trivial iff c is distinguishing."""
+    """Subgroup of A preserving the coloring.  Trivial iff c is distinguishing.
+    Every element is checked, the identity too: ContractError off the domain."""
     kept = tuple(p for p in A.elements if preserves(p, c))
-    return AutGroup(n=A.n, elements=kept)
+    return AutGroup(A.n, A.free, ((0, kept[1:]),) if len(kept) > 1 else (), len(kept))

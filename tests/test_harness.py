@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from symbreak import harness
 from symbreak.errors import MalformedInputError
 from symbreak.graph_core import (
     complete_graph,
     cycle_graph,
     from_edge_list,
     is_connected,
+    parse_graph6,
     to_graph6,
     write_graph6_file,
 )
@@ -423,3 +425,19 @@ def test_all_check_ids_registered():
         "thm-3.3", "cor-3.5", "lemma-4.2", "lemma-4.3", "lemma-4.4",
         "thm-4.5", "thm-4.7", "remark-4.8",
     }
+
+
+@pytest.mark.parametrize(
+    "check, G, values",
+    [
+        (harness._check_lemma_4_4, cycle_graph(4), {"aut_order_subdivision": 16, "violations": 8}),
+        (harness._check_lemma_4_2, parse_graph6("C`"), {"aut_order": 8, "violations": 4}),
+    ],
+    ids=["lemma-4.4 C4", "lemma-4.2 2K2"],
+)
+def test_lemma_sweeps_count_violations(check, G, values):
+    # Outside the lemmas' hypotheses (a cycle, a disconnected graph) the
+    # counterexample path no corpus row reaches: a failed record counting the
+    # offending elements of the listed group.
+    row = check(G)
+    assert (row["status"], row["values"]) == ("fail", values)

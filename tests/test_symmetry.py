@@ -5,7 +5,7 @@ import random
 import pytest
 
 from symbreak.colorings import EdgeColoring, TotalColoring, VertexColoring
-from symbreak import symmetry
+from symbreak import cli, harness, symmetry
 from symbreak.errors import ContractError, MalformedInputError, ResourceCapError
 from symbreak.graph_core import (
     adjacency_code,
@@ -142,6 +142,23 @@ def test_explicit_caps_share_the_cached_search(monkeypatch):
         assert group.order == order
         assert automorphism_group(G, max_order=order) is group
         assert searched == [G.n]
+
+
+def test_order_only_lookups_list_nothing(monkeypatch, capsys):
+    # `aut` without --list and thm-4.5 need only the group order, which the
+    # chain gives: K1,9's 362,880 and K6's 720 elements are never listed.
+    def fail(group):
+        raise AssertionError(f"asked to list {group.order} elements")
+
+    symmetry._chain.cache_clear()
+    monkeypatch.setattr(symmetry, "_listing", fail)
+    try:
+        assert cli.main(["aut", "--graph6", "IsaCCA?_?"]) == 0
+        assert capsys.readouterr().out == "362880\n"
+        row = harness._check_thm_4_5(complete_graph(6))
+        assert row["values"]["aut_order"] == 720
+    finally:
+        symmetry._chain.cache_clear()
 
 
 def test_element_order_is_pinned(corpus):
@@ -504,6 +521,38 @@ def test_preserves_and_stabilizer():
     assert stabilizer(aut, constant).order == aut.order
     alternating = VertexColoring((1, 2, 1, 2), 2)
     assert stabilizer(aut, alternating).order == 4
+
+
+@pytest.mark.parametrize(
+    "G", [cycle_graph(4), cycle_graph(6), complete_bipartite_graph(3, 3)], ids=["C4", "C6", "K3,3"]
+)
+def test_stabilizer_is_the_preserving_subgroup(G):
+    # The subgroup keeps A's element order, the identity first, and its
+    # order is the number of elements kept.
+    A = automorphism_group(G)
+    rng = random.Random(G.n)
+    colorings = [VertexColoring((1,) * G.n, 1), VertexColoring(tuple(range(1, G.n + 1)), G.n)]
+    colorings += [VertexColoring(tuple(rng.randint(1, 2) for _ in range(G.n)), 2) for _ in range(6)]
+    colorings += [
+        EdgeColoring(G.edges, tuple(rng.randint(1, 2) for _ in G.edges), 2) for _ in range(4)
+    ]
+    colorings.append(TotalColoring(colorings[2], colorings[-1]))
+    orders = set()
+    for c in colorings:
+        S = stabilizer(A, c)
+        want = tuple(p for p in A.elements if preserves(p, c))
+        assert S.elements == want and S.order == len(want) == len(S)
+        orders.add(S.order)
+    assert len(orders) > 2
+
+
+def test_stabilizer_checks_the_identity(corpus):
+    # The identity is an asymmetric graph's only element: the domain check
+    # on it is what refuses a coloring of the wrong length.
+    G = next(H for H in corpus[6] if automorphism_group(H).order == 1)
+    assert stabilizer(automorphism_group(G), VertexColoring((1,) * G.n, 1)).order == 1
+    with pytest.raises(ContractError):
+        stabilizer(automorphism_group(G), VertexColoring((1,) * (G.n + 1), 1))
 
 
 def test_preserves_total_needs_both_parts():

@@ -12,10 +12,11 @@ All six share one shape: the least palette for a coloring of some positions
 identity preserves.  One table, ``_KINDS``, gives each kind its position
 count, whether an edge is required, its conflict pairs (the properness
 constraints), its certified lower bound, the action of Aut(G) on its
-positions with a leaf decider (neither for chi, the one kind that need not
-distinguish) and its witness builder; one driver, ``_invariant``, checks
-the input, looks up the memo of certified values and runs the search.  The
-six public functions are one-line wrappers around it.
+positions (none for chi, the one kind that need not distinguish) and its
+witness builder, which also turns a leaf into the coloring that
+_kept_by_nonidentity checks; one driver, ``_invariant``, checks the input,
+looks up the memo of certified values and runs the search.  The six public
+functions are one-line wrappers around it.
 
 One backtracking engine serves all six.  Color vectors are enumerated in
 position order with a first-fit palette restriction, and three cuts remove
@@ -49,9 +50,8 @@ valid leaves all have a smaller valid vector: the first accepted leaf is
 the lexicographically least valid vector, the same with or without any
 cut, and exhausting the tree certifies that no valid vector exists at that
 palette size.  The stabilizer cut leaves no leaf that an element of the
-prune set preserves.  So a leaf is checked only when the prune set is not
-the whole group, by a search for an automorphism preserving it, on G for
-vertex colorings and on S(G) for edge and total ones (Theorem 3.3's view).
+prune set preserves.  So a leaf is checked, by _kept_by_nonidentity, only
+when the prune set is not the whole group, as is_distinguishing checks one.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .symmetry import (
     _has_nontrivial_automorphism,
     _prune_set,
     _subdivision_lifts,
-    automorphism_group,
     preserves,
     vertex_cap,
 )
@@ -123,10 +122,31 @@ def is_proper(G: Graph, c) -> bool:
 
 
 def is_distinguishing(G: Graph, c) -> bool:
-    """True iff only the identity automorphism preserves the coloring.
-    Total colorings must be preserved in both parts simultaneously."""
+    """True iff only the identity preserves the coloring (both parts of a
+    total one).  Decided as a search leaf is: by G's prune set, then, unless
+    it is the whole group but the identity, by _kept_by_nonidentity."""
     _check_domain(G, c)
-    return all(not preserves(p, c) for p in automorphism_group(G).nonidentity())
+    elements = _prune_set(G)
+    if any(preserves(p, c) for p in elements):
+        return False
+    return len(elements) == _chain(G).order - 1 or not _kept_by_nonidentity(G, c)
+
+
+def _kept_by_nonidentity(G: Graph, c) -> bool:
+    """Does an automorphism of G other than the identity keep the coloring?
+    Searched on G for a vertex coloring.  An edge or total coloring is a
+    vertex coloring of S(G) (Theorem 3.3's view): original vertices get 0 or
+    their vertex color, edge vertices their edge color negated, so the two
+    never share a color and S(G)'s automorphisms that keep it are G's,
+    lifted.  An edgeless G has no S(G): its vertex part decides."""
+    if isinstance(c, VertexColoring):
+        return _has_nontrivial_automorphism(G, c.colors)
+    total = isinstance(c, TotalColoring)
+    head = c.vertex_part.colors if total else (0,) * G.n
+    if not G.edges:
+        return _has_nontrivial_automorphism(G, head)
+    tail = [-x for x in (c.edge_part if total else c).colors]
+    return _has_nontrivial_automorphism(subdivision_graph(G), [*head, *tail])
 
 
 def _check_domain(G: Graph, c) -> None:
@@ -432,7 +452,7 @@ def _minimize(
 
 
 # ---------------------------------------------------------------------------
-# Group actions on positions, and leaf deciders for groups too large to list
+# Group actions on positions
 # ---------------------------------------------------------------------------
 
 def _vertex_action(G: Graph, perms: Sequence[Permutation]) -> Sequence[Permutation]:
@@ -458,25 +478,6 @@ def _late_vertex_prune(G: Graph) -> Sequence[Permutation]:
         return _prune_set(G)
     except (ResourceCapError, MalformedInputError):
         return ()
-
-
-def _vertex_decider(G: Graph) -> Callable[[list[int]], bool]:
-    return partial(_has_nontrivial_automorphism, G)
-
-
-# Theorem 3.3's view: an edge or total coloring of G is a vertex coloring of
-# S(G) whose original vertices (color 0, or the vertex colors) and edge
-# vertices (the edge colors, negated for a total coloring) never share a
-# color, so the automorphisms of S(G) that keep it are those of G lifted.
-
-def _edge_decider(G: Graph) -> Callable[[list[int]], bool]:
-    S, head = subdivision_graph(G), [0] * G.n
-    return lambda colors: _has_nontrivial_automorphism(S, head + colors)
-
-
-def _total_decider(G: Graph) -> Callable[[list[int]], bool]:
-    S, n = subdivision_graph(G), G.n
-    return lambda colors: _has_nontrivial_automorphism(S, colors[:n] + [-c for c in colors[n:]])
 
 
 # ---------------------------------------------------------------------------
@@ -516,37 +517,37 @@ class _Kind(NamedTuple):
     lower: Callable[..., int]  # (G, npos, pairs, witness_only, cap)
     # (G, automorphisms of G) -> the same elements as position permutations
     group: Optional[Callable[[Graph, Sequence[Permutation]], Sequence[Permutation]]]
-    # G -> does a non-identity automorphism keep these position colors?
-    decider: Optional[Callable[[Graph], Callable[[list[int]], bool]]]
     witness: Callable[[Graph, tuple[int, ...], int], object]  # (G, vec, palette)
+
+    def decider(self, G: Graph) -> Callable[[list[int]], bool]:
+        """Does a non-identity automorphism of G keep these position colors?"""
+        return lambda colors: _kept_by_nonidentity(G, self.witness(G, tuple(colors), max(colors)))
 
 
 _KINDS: dict[str, _Kind] = {
     "chi": _Kind(
         "chromatic_number", lambda G: G.n, False, lambda G: G.edges, _clique_bound,
-        None, None, lambda G, vec, r: VertexColoring(vec, r),
+        None, lambda G, vec, r: VertexColoring(vec, r),
     ),
     "D": _Kind(
         "distinguishing_number", lambda G: G.n, False, lambda G: (), _no_bound,
-        _vertex_action, _vertex_decider, lambda G, vec, r: VertexColoring(vec, r),
+        _vertex_action, lambda G, vec, r: VertexColoring(vec, r),
     ),
     "chiD": _Kind(
         "distinguishing_chromatic_number", lambda G: G.n, False, lambda G: G.edges,
-        _chromatic_bound, _vertex_action, _vertex_decider,
-        lambda G, vec, r: VertexColoring(vec, r),
+        _chromatic_bound, _vertex_action, lambda G, vec, r: VertexColoring(vec, r),
     ),
     "Dp": _Kind(
         "distinguishing_index", lambda G: G.num_edges, True, lambda G: (), _no_bound,
-        _edge_action, _edge_decider, lambda G, vec, r: EdgeColoring(G.edges, vec, r),
+        _edge_action, lambda G, vec, r: EdgeColoring(G.edges, vec, r),
     ),
     "chiDp": _Kind(
         "distinguishing_chromatic_index", lambda G: G.num_edges, True, incident_edge_pairs,
-        _clique_bound, _edge_action, _edge_decider,
-        lambda G, vec, r: EdgeColoring(G.edges, vec, r),
+        _clique_bound, _edge_action, lambda G, vec, r: EdgeColoring(G.edges, vec, r),
     ),
     "Dpp": _Kind(
         "total_distinguishing_number", lambda G: G.n + G.num_edges, True, lambda G: (),
-        _no_bound, _subdivision_lifts, _total_decider, _total_witness,
+        _no_bound, _subdivision_lifts, _total_witness,
     ),
 }
 
@@ -580,9 +581,8 @@ def _invariant(
         elements = _prune_set(G)
         perms = spec.group(G, elements)
         # The search reaches no leaf these elements keep.  Unless they are all
-        # the group but the identity, a search decides the leaves it reaches.
-        whole = len(elements) == _chain(G).order - 1
-        nontrivial = None if whole else spec.decider(G)
+        # the group but the identity, the coloured search decides its leaves.
+        nontrivial = None if len(elements) == _chain(G).order - 1 else spec.decider(G)
     value, vec, certified = _minimize(
         kind=kind, npos=npos, conflict_pairs=pairs, perms=perms, nontrivial=nontrivial,
         distinguishing=spec.group is not None, late_perms=late_perms, lower=lower,

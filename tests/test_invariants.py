@@ -388,10 +388,57 @@ def test_star_beyond_the_order_cap_is_answered():
     assert sorted(iv.witness.colors[1:]) == list(range(1, 12))
 
 
+def test_is_distinguishing_on_edgeless_and_matching_graphs():
+    # An edgeless graph has no S(G), so its edge and total colorings are
+    # decided on its vertex part; 4K2's (384 automorphisms, never listed by
+    # the checker) on S(4K2).  Each answer is the one the whole-group listing
+    # gave.
+    E5 = from_edge_list(5, [])
+    none = EdgeColoring((), (), 5)
+    assert is_distinguishing(E5, TotalColoring(VertexColoring((1, 2, 3, 4, 5), 5), none))
+    assert not is_distinguishing(E5, none)
+    M = from_edge_list(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    edges = EdgeColoring(M.edges, (1, 2, 3, 4), 4)
+    assert not is_distinguishing(M, edges)
+    assert is_distinguishing(M, TotalColoring(VertexColoring((1, 2) * 4, 4), edges))
+
+
+def _two_leaves_alike(c):
+    """The star coloring c with leaf 2, and its edge, recolored as leaf 1."""
+    if isinstance(c, TotalColoring):
+        return TotalColoring(_two_leaves_alike(c.vertex_part), _two_leaves_alike(c.edge_part))
+    colors = list(c.colors)
+    k = 2 if isinstance(c, VertexColoring) else 1  # vertex 2, or edge (0, 2) at index 1
+    colors[k] = colors[k - 1]
+    if isinstance(c, VertexColoring):
+        return VertexColoring(tuple(colors), c.palette)
+    return EdgeColoring(c.edges, tuple(colors), c.palette)
+
+
+def test_is_distinguishing_lists_no_large_group(monkeypatch):
+    # The certified witnesses of D on K1,10 and K1,11 (3,628,800 and
+    # 39,916,800 automorphisms) and of Dp and Dpp on K1,12 are re-checked
+    # without listing a group of more than 65 elements; two leaves colored
+    # alike are swapped by an automorphism.
+    _list_only_prune_sets(monkeypatch)
+    clear_invariant_cache()
+    for fn, m in (
+        (distinguishing_number, 10),
+        (distinguishing_number, 11),
+        (distinguishing_index, 12),
+        (total_distinguishing_number, 12),
+    ):
+        G = star_graph(m)
+        iv = fn(G)
+        assert iv.certified
+        assert is_distinguishing(G, iv.witness), (fn.__name__, m)
+        assert not is_distinguishing(G, _two_leaves_alike(iv.witness)), (fn.__name__, m)
+
+
 def _arms_are_distinguished(m, edge_colors, leaf_colors):
     # Aut(K1,m) and Aut(S(K1,m)) permute the m arms as S_m, so a coloring is
     # distinguishing iff no two arms get the same (edge, leaf) color pair.
-    # is_distinguishing would list the group, which is refused past m = 10.
+    # Counting the pairs checks a witness without the package's group code.
     assert len(set(zip(edge_colors, leaf_colors))) == m
 
 

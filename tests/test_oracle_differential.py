@@ -11,19 +11,24 @@ import random
 
 import pytest
 
+from symbreak import symmetry
+from symbreak.colorings import EdgeColoring, TotalColoring, VertexColoring
 from symbreak.errors import ResourceCapError
 from symbreak.graph_core import complete_graph, from_edge_list, star_graph
-from symbreak.invariants import INVARIANT_FUNCTIONS, _KINDS, _search_palette
-from symbreak.symmetry import automorphism_group, is_isomorphic
+from symbreak.invariants import INVARIANT_FUNCTIONS, _KINDS, _search_palette, is_distinguishing
+from symbreak.symmetry import automorphism_group, is_isomorphic, preserves, stabilizer
 from symbreak.transforms import endline_graph, line_graph, middle_graph, subdivision_graph
 
 from oracles import (
+    _edge_preserved,
+    _vertex_preserved,
     backtrack_automorphisms,
     brute_is_isomorphic,
     least_valid_vector,
     naive_invariant,
     reference_refine_colors,
 )
+from test_invariants import _PRUNE_SUBSET_GRAPHS
 
 
 def _random_graph(rng: random.Random, n: int):
@@ -153,3 +158,68 @@ def test_proper_searches_return_the_least_valid_vector():
                     compared += 1
                     empty += want is None
     assert compared >= 300 and empty >= 100
+
+
+def _random_colors(rng: random.Random, npos: int) -> list[int]:
+    """All positions distinct, perhaps with one made equal to another, or
+    random colors from a random palette: both answers come up often."""
+    if rng.random() < 0.5:
+        colors = rng.sample(range(1, npos + 1), npos)
+        if npos > 1 and rng.random() < 0.5:
+            a, b = rng.sample(range(npos), 2)
+            colors[a] = colors[b]
+        return colors
+    k = rng.randint(1, npos)
+    return [rng.randint(1, k) for _ in range(npos)]
+
+
+def _random_coloring(rng: random.Random, G, kind: str):
+    if kind == "vertex":
+        colors = _random_colors(rng, G.n)
+        return VertexColoring(tuple(colors), max(colors))
+    if kind == "edge":
+        colors = _random_colors(rng, G.num_edges)
+        return EdgeColoring(G.edges, tuple(colors), max(colors))
+    colors = _random_colors(rng, G.n + G.num_edges)
+    r = max(colors)
+    return TotalColoring(
+        VertexColoring(tuple(colors[: G.n]), r), EdgeColoring(G.edges, tuple(colors[G.n :]), r)
+    )
+
+
+def _oracle_distinguishing(G, autos, c) -> bool:
+    """No oracle automorphism but the identity keeps every vertex and edge color."""
+    vertex = c.vertex_part if isinstance(c, TotalColoring) else c
+    edge = c.edge_part if isinstance(c, TotalColoring) else c
+    rank = {e: k for k, e in enumerate(G.edges)}
+    return not any(
+        p != tuple(range(G.n))
+        and (not isinstance(vertex, VertexColoring) or _vertex_preserved(p, vertex.colors))
+        and (not isinstance(edge, EdgeColoring) or _edge_preserved(G, rank, p, edge.colors))
+        for p in autos
+    )
+
+
+def test_is_distinguishing_matches_the_oracle():
+    # Seeded vertex, edge and total colorings of the random graphs and of the
+    # groups of 72-720 elements whose prune set is only part of the group, so
+    # that the coloured search decides what the prune set leaves open.  The
+    # checker must agree with a scan of the oracle's automorphisms, and with
+    # the stabilizer, which lists the group.
+    rng = random.Random(29)
+    graphs = GRAPHS + [param.values[0] for param in _PRUNE_SUBSET_GRAPHS]
+    answers = {True: 0, False: 0}
+    searched = 0
+    for G in graphs:
+        autos = backtrack_automorphisms(G)
+        prune = symmetry._prune_set(G)
+        for kind in ("vertex", "edge", "total"):
+            for _ in range(4):
+                c = _random_coloring(rng, G, kind)
+                got = is_distinguishing(G, c)
+                assert got == _oracle_distinguishing(G, autos, c), (G.edges, c)
+                assert got == (stabilizer(automorphism_group(G), c).order == 1), (G.edges, c)
+                answers[got] += 1
+                searched += len(prune) < len(autos) - 1 and not any(preserves(p, c) for p in prune)
+    assert min(answers.values()) >= 50
+    assert searched >= 20

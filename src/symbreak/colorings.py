@@ -17,6 +17,8 @@ from .graph_core import Edge
 
 
 def _check_colors(colors: tuple[int, ...], palette: int) -> None:
+    if type(colors) is not tuple:  # a list would leave the coloring unhashable
+        raise MalformedInputError(f"colors must be a tuple, got {type(colors).__name__}")
     if type(palette) is not int or palette < 1:
         raise MalformedInputError(f"palette size must be an integer >= 1, got {palette!r}")
     for c in colors:

@@ -14,9 +14,12 @@ count, whether an edge is required, its conflict pairs (the properness
 constraints), its certified lower bound, the action of Aut(G) on its
 positions (none for chi, the one kind that need not distinguish) and its
 witness builder, which also turns a leaf into the coloring that
-_kept_by_nonidentity checks; one driver, ``_invariant``, checks the input,
-looks up the memo of certified values and runs the search.  The six public
-functions are one-line wrappers around it.
+_kept_by_nonidentity checks.  One driver, ``_invariant``, reads top to
+bottom: it checks the input, looks up the memo of certified values, refuses
+a count of positions past the certification cap before any bound or group
+search, builds the lower bound and the prune set, runs the palette loop and
+builds the witness.  The six public functions are one-line wrappers around
+it.
 
 One backtracking engine serves all six.  Color vectors are enumerated in
 position order with a first-fit palette restriction, and three cuts remove
@@ -57,7 +60,6 @@ when the prune set is not the whole group, as is_distinguishing checks one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .colorings import EdgeColoring, TotalColoring, VertexColoring
@@ -397,60 +399,6 @@ def _search_palette(
         rec = None
 
 
-def _minimize(
-    *,
-    kind: str,
-    npos: int,
-    conflict_pairs: Sequence[tuple[int, int]],
-    perms: Sequence[Permutation],
-    nontrivial: Optional[Callable[[list[int]], bool]],
-    distinguishing: bool,
-    late_perms: Optional[Callable[[], Sequence[Permutation]]],
-    lower: int,
-    witness_only: bool,
-    cap: int,
-) -> tuple[int, tuple[int, ...], bool]:
-    """The least palette with a valid vector, the vector, and whether the
-    palette is certified.  With ``late_perms`` each palette is first searched
-    without a prune; once that search has used _PRUNE_AFTER_NODES nodes,
-    ``late_perms()`` gives the prune elements and the palette starts over,
-    so an easy search never pays for a group."""
-    if npos > cap and not witness_only:
-        raise ResourceCapError(
-            f"{kind}: {npos} positions exceeds the exhaustive-certification cap {cap} "
-            "(set SYMBREAK_MAX_VERTICES or use witness_only)"
-        )
-    later: list[list[int]] = [[] for _ in range(npos)]
-    for a, b in conflict_pairs:  # sorted, a < b, as G.edges and incident_edge_pairs are
-        later[a].append(b)
-    budget = _WITNESS_ONLY_NODE_BUDGET if witness_only else None
-    certified = not witness_only
-
-    def search(r: int, prune: Sequence[Permutation], budget: Optional[int]):
-        return _search_palette(npos, later, prune, r, budget, nontrivial, distinguishing)
-
-    for r in range(max(1, lower), npos + 1):
-        try:
-            if late_perms is None:
-                vec = search(r, perms, budget)
-            else:
-                first = _PRUNE_AFTER_NODES if budget is None else min(budget, _PRUNE_AFTER_NODES)
-                try:
-                    vec = search(r, perms, first)
-                except _BudgetExceeded:
-                    perms, late_perms = late_perms(), None
-                    vec = search(r, perms, budget)
-        except _BudgetExceeded:
-            certified = False
-            continue
-        if vec is not None:
-            return r, vec, certified
-    # Only reached when the node budget ran out at every palette (an
-    # exhaustive search always succeeds at npos).  All-distinct colors are
-    # proper, and distinguishing because every group action is faithful.
-    return npos, tuple(range(1, npos + 1)), False
-
-
 # ---------------------------------------------------------------------------
 # Group actions on positions
 # ---------------------------------------------------------------------------
@@ -561,6 +509,11 @@ def clear_invariant_cache() -> None:
 def _invariant(
     kind: str, G: Graph, witness_only: bool, max_positions: Optional[int]
 ) -> InvariantValue:
+    """The least palette with a valid vector, its witness, and whether the
+    palette is certified.  chi searches each palette first without a prune;
+    once that search has used _PRUNE_AFTER_NODES nodes, _late_vertex_prune
+    gives the prune elements and the palette starts over, so an easy search
+    never pays for a group."""
     spec = _KINDS[kind]
     cap = vertex_cap(max_positions, DEFAULT_CERTIFY_CAP)  # checked before the memo
     if not is_connected(G):
@@ -572,23 +525,52 @@ def _invariant(
     if key is not None and (got := _MEMO.get(key)):
         return got
     npos = spec.positions(G)
+    if npos > cap and not witness_only:  # before any bound or group search
+        raise ResourceCapError(
+            f"{kind}: {npos} positions exceeds the exhaustive-certification cap {cap} "
+            "(set SYMBREAK_MAX_VERTICES or use witness_only)"
+        )
     pairs = spec.conflicts(G)
+    later: list[list[int]] = [[] for _ in range(npos)]
+    for a, b in pairs:  # sorted, a < b, as G.edges and incident_edge_pairs are
+        later[a].append(b)
     lower = spec.lower(G, npos, pairs, witness_only, cap)
-    late_perms = None
     if spec.group is None:  # chi: a prune group only once the search is hard
-        perms, nontrivial, late_perms = (), None, partial(_late_vertex_prune, G)
+        perms, nontrivial = None, None
     else:
         elements = _prune_set(G)
         perms = spec.group(G, elements)
         # The search reaches no leaf these elements keep.  Unless they are all
         # the group but the identity, the coloured search decides its leaves.
         nontrivial = None if len(elements) == _chain(G).order - 1 else spec.decider(G)
-    value, vec, certified = _minimize(
-        kind=kind, npos=npos, conflict_pairs=pairs, perms=perms, nontrivial=nontrivial,
-        distinguishing=spec.group is not None, late_perms=late_perms, lower=lower,
-        witness_only=witness_only, cap=cap,
-    )
-    out = InvariantValue(kind, value, spec.witness(G, vec, value), certified)
+    budget = _WITNESS_ONLY_NODE_BUDGET if witness_only else None
+    first = _PRUNE_AFTER_NODES if budget is None else min(budget, _PRUNE_AFTER_NODES)
+    certified = not witness_only
+
+    def search(r: int, prune: Sequence[Permutation], nodes: Optional[int]):
+        return _search_palette(npos, later, prune, r, nodes, nontrivial, spec.group is not None)
+
+    for r in range(max(1, lower), npos + 1):
+        try:
+            if perms is None:  # chi, until its late prune
+                try:
+                    vec = search(r, (), first)
+                except _BudgetExceeded:
+                    perms = _late_vertex_prune(G)
+                    vec = search(r, perms, budget)
+            else:
+                vec = search(r, perms, budget)
+        except _BudgetExceeded:
+            certified = False
+            continue
+        if vec is not None:
+            break
+    else:
+        # Only reached when the node budget ran out at every palette (an
+        # exhaustive search always succeeds at npos).  All-distinct colors are
+        # proper, and distinguishing because every group action is faithful.
+        r, vec, certified = npos, tuple(range(1, npos + 1)), False
+    out = InvariantValue(kind, r, spec.witness(G, vec, r), certified)
     if key is not None:
         _MEMO[key] = out
     return out

@@ -146,10 +146,6 @@ class AutGroup:
     def elements(self) -> tuple[Permutation, ...]:
         return _listing(self)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def nonidentity(self) -> tuple[Permutation, ...]:
         return self.elements[1:]
 

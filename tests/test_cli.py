@@ -83,6 +83,25 @@ def test_invariant_edge_witness(capsys):
     assert set(payload["witness"]["edges"]) == {"0,1", "1,2"}
 
 
+def test_invariant_total_witness_has_vertices_and_edges(capsys):
+    s = to_graph6(path_graph(3))
+    code, out, _ = run_cli(capsys, "invariant", "--which", "Dpp", "--graph6", s, "--witness")
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert set(witness) == {"vertices", "edges"}
+    assert set(witness["vertices"]) == {"0", "1", "2"}
+    assert set(witness["edges"]) == {"0,1", "1,2"}
+
+
+def test_invariant_empty_stdin_is_input_error(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, out, err = run_cli(capsys, "invariant", "--which", "chi")
+    assert code == 2 and out == ""
+    assert "expected one graph6 line on stdin" in err
+
+
 def test_invariant_unknown_kind(capsys):
     code, _, err = run_cli(capsys, "invariant", "--which", "zeta", "--graph6", "Bw")
     assert code == 2 and "unknown invariant" in err

@@ -29,10 +29,13 @@ def test_edge_coloring_validation_and_lookup():
         EdgeColoring(((1, 2), (0, 1)), (1, 2), 2)  # unsorted domain
     with pytest.raises(MalformedInputError):
         EdgeColoring(P3.edges, (1,), 2)  # length mismatch
+    with pytest.raises(MalformedInputError):
+        EdgeColoring(P3.edges, [1, 2], 2)  # a list would leave it unhashable
 
 
 @pytest.mark.parametrize(
-    "colors, palette", [((1.5, 1), 2), ((True, 2), 2), ((1, 2), 2.5), ((1, 2), True)]
+    "colors, palette",
+    [((1.5, 1), 2), ((True, 2), 2), ((1, 2), 2.5), ((1, 2), True), ([1, 2], 2)],
 )
 def test_vertex_coloring_rejects_non_int_colors_and_palettes(colors, palette):
     with pytest.raises(MalformedInputError):

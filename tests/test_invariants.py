@@ -155,6 +155,28 @@ def test_vertex_cap_applies_only_to_kinds_with_a_group():
         distinguishing_number(P, witness_only=True)
 
 
+def _must_not_run(*_, **__):
+    raise AssertionError("a refused call ran a bound or group search")
+
+
+def test_certification_cap_refuses_chiD_before_its_chi_bound(monkeypatch):
+    # The refusal names the kind asked for and comes before chiD's lower
+    # bound, which is chi's whole search.
+    clear_invariant_cache()
+    monkeypatch.setattr(invariants, "chromatic_number", _must_not_run)
+    with pytest.raises(ResourceCapError, match=r"^chiD: 31 positions exceeds"):
+        distinguishing_chromatic_number(path_graph(31))
+
+
+def test_certification_cap_refuses_before_the_group_search(monkeypatch):
+    # P45 is past both the certification cap and the 40-vertex automorphism
+    # cap; the certification cap is checked first, so no group is searched.
+    clear_invariant_cache()
+    monkeypatch.setattr(invariants, "_prune_set", _must_not_run)
+    with pytest.raises(ResourceCapError, match="exhaustive-certification cap 30"):
+        distinguishing_number(path_graph(45))
+
+
 def test_witness_only_falls_back_when_budget_runs_out(monkeypatch):
     # A budget of one node runs out at every palette; the all-distinct
     # vector is then returned uncertified, and it must still distinguish.

@@ -1,8 +1,8 @@
 """Graph data model, graph6 text format, named graphs, and basic predicates.
 
 Vertices are the integers ``0..n-1``.  A :class:`Graph` is immutable once
-built; adjacency structures are derived from the edge list at construction
-time and never mutated, so values can be shared freely between workers.
+built; its one adjacency form, ``adj``, lists each vertex's neighbours in
+increasing order, so values can be shared freely between workers.
 Default labels are one shared immutable prefix of original labels
 (:func:`original_labels`), not new label objects per graph.
 """
@@ -71,14 +71,14 @@ class Graph:
     """Simple undirected graph with provenance-labelled vertices.
 
     Structural equality and hashing use ``(n, edges)`` only; labels are
-    carried along as metadata.  Use :func:`from_edge_list` to build one.
+    carried along as metadata.  ``adj``, the one adjacency form, lists each
+    vertex's neighbours in increasing order.  Build one with :func:`from_edge_list`.
     """
 
     n: int
     edges: tuple[Edge, ...]
     labels: tuple[VertexLabel, ...]
     adj: tuple[tuple[int, ...], ...]
-    adj_sets: tuple[frozenset, ...]
 
     @property
     def num_edges(self) -> int:
@@ -95,7 +95,7 @@ class Graph:
         return tuple(sorted(self.degrees(), reverse=True))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj_sets[u]
+        return v in self.adj[u]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
@@ -165,9 +165,7 @@ def from_edge_list(
     for u, v in edges:
         adj_lists[u].append(v)
         adj_lists[v].append(u)
-    adj = tuple(map(tuple, adj_lists))
-    adj_sets = tuple(map(frozenset, adj_lists))
-    return Graph(n=n, edges=edges, labels=labels, adj=adj, adj_sets=adj_sets)
+    return Graph(n=n, edges=edges, labels=labels, adj=tuple(map(tuple, adj_lists)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +369,10 @@ def max_degree(G: Graph) -> int:
 
 
 def neighborhood(G: Graph, v: int) -> frozenset:
-    """Open neighborhood of v."""
+    """Open neighborhood of v, built on each call."""
     if not 0 <= v < G.n:
         raise MalformedInputError(f"vertex {v} out of range for order {G.n}")
-    return G.adj_sets[v]
+    return frozenset(G.adj[v])
 
 
 def incident_edge_pairs(G: Graph) -> list[Edge]:
@@ -429,8 +427,9 @@ def bipartition(G: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 def is_irreducible(G: Graph) -> bool:
-    """True iff all open neighborhoods are pairwise distinct."""
-    return len(set(G.adj_sets)) == G.n
+    """True iff all open neighborhoods are pairwise distinct: each ``adj``
+    tuple is in increasing order, so tuples are equal exactly when sets are."""
+    return len(set(G.adj)) == G.n
 
 
 def is_cycle_graph(G: Graph) -> bool:

@@ -15,11 +15,10 @@ constraints), its certified lower bound, the action of Aut(G) on its
 positions (none for chi, the one kind that need not distinguish) and its
 witness builder, which also turns a leaf into the coloring that
 _kept_by_nonidentity checks.  One driver, ``_invariant``, reads top to
-bottom: it checks the input, looks up the memo of certified values, refuses
-a count of positions past the certification cap before any bound or group
-search, builds the lower bound and the prune set, runs the palette loop and
-builds the witness.  The six public functions are one-line wrappers around
-it.
+bottom: it checks the input, refuses a count of positions past the
+certification cap, looks up the memo of certified values, builds the lower
+bound and the prune set, runs the palette loop and builds the witness.  The
+six public functions are one-line wrappers around it.
 
 One backtracking engine serves all six.  Color vectors are enumerated in
 position order with a first-fit palette restriction, and three cuts remove
@@ -515,21 +514,21 @@ def _invariant(
     gives the prune elements and the palette starts over, so an easy search
     never pays for a group."""
     spec = _KINDS[kind]
-    cap = vertex_cap(max_positions, DEFAULT_CERTIFY_CAP)  # checked before the memo
+    cap = vertex_cap(max_positions, DEFAULT_CERTIFY_CAP)
     if not is_connected(G):
         raise ContractError(f"{spec.name} requires a connected graph")
     if spec.needs_edge and G.num_edges == 0:
         raise MalformedInputError(f"{spec.name} requires at least one edge")
-    # Certified values only; past order 62 there is no graph6 key (caps refuse those).
-    key = (to_graph6(G), kind) if not witness_only and G.n <= 62 else None
-    if key is not None and (got := _MEMO.get(key)):
-        return got
     npos = spec.positions(G)
-    if npos > cap and not witness_only:  # before any bound or group search
+    if npos > cap and not witness_only:  # before the memo, any bound or group search
         raise ResourceCapError(
             f"{kind}: {npos} positions exceeds the exhaustive-certification cap {cap} "
             "(set SYMBREAK_MAX_VERTICES or use witness_only)"
         )
+    # Certified values only; past order 62 there is no graph6 key (caps refuse those).
+    key = (to_graph6(G), kind) if not witness_only and G.n <= 62 else None
+    if key is not None and (got := _MEMO.get(key)):
+        return got
     pairs = spec.conflicts(G)
     later: list[list[int]] = [[] for _ in range(npos)]
     for a, b in pairs:  # sorted, a < b, as G.edges and incident_edge_pairs are

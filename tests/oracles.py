@@ -244,7 +244,7 @@ def reference_code_for(G: Graph, colors: list[int]) -> tuple[int, tuple[int, ...
     acc = 0
     for j in range(1, n):
         vj = vert_at[j]
-        row = G.adj_sets[vj]
+        row = set(G.adj[vj])
         for i in range(j):
             acc = (acc << 1) | (1 if vert_at[i] in row else 0)
     return acc, tuple(colors)
@@ -277,8 +277,7 @@ def reference_from_edge_list(n: int, pairs, labels=None) -> Graph:
         adj_lists[u].append(v)
         adj_lists[v].append(u)
     adj = tuple(tuple(sorted(nb)) for nb in adj_lists)
-    adj_sets = tuple(frozenset(nb) for nb in adj)
-    return Graph(n=n, edges=edges, labels=labels, adj=adj, adj_sets=adj_sets)
+    return Graph(n=n, edges=edges, labels=labels, adj=adj)
 
 
 def reference_parse_graph6(line: str) -> Graph:

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,7 +28,7 @@ from symbreak.graph_core import (
     write_graph6_file,
 )
 from symbreak.harness import CorpusSpec, enumerate_corpus
-from symbreak.transforms import endline_graph, subdivision_graph
+from symbreak.transforms import endline_graph, line_graph, middle_graph, subdivision_graph
 
 from oracles import naive_is_irreducible, reference_from_edge_list, reference_parse_graph6
 
@@ -125,7 +127,7 @@ def test_incident_edge_pairs_matches_the_definition(corpus):
 
 
 def _fields(G):
-    return G.n, G.edges, G.adj, G.adj_sets, G.labels
+    return G.n, G.edges, G.adj, G.labels
 
 
 def _shuffled_pairs(rng, n, density):
@@ -342,6 +344,21 @@ def test_predicates():
     assert not is_cycle_graph(path_graph(5))
 
 
+def test_has_edge_and_neighborhood_match_the_edge_list(corpus):
+    # every graph of orders 1..6 and the four transforms of each with an edge
+    graphs = [G for n in corpus for G in corpus[n]]
+    graphs += [T(G) for G in graphs if G.num_edges
+               for T in (line_graph, endline_graph, subdivision_graph, middle_graph)]
+    for G in graphs:
+        edges = set(G.edges)
+        for v in range(G.n):
+            nb = neighborhood(G, v)
+            assert type(nb) is frozenset
+            assert nb == {w for w in range(G.n) if (min(v, w), max(v, w)) in edges}
+            for u in range(G.n):
+                assert G.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+
+
 def test_bipartition_edges_cross_classes(corpus):
     for n in range(2, 6):
         for G in corpus[n]:
@@ -393,3 +410,24 @@ def test_shipped_order7_corpus_round_trips(order7_path):
         G = parse_graph6(line)
         assert G.n == 7 and is_connected(G)
         assert to_graph6(G) == line
+
+
+def test_order7_middle_graphs_fit_in_nine_mebibytes(order7_path):
+    # One adjacency form per graph: the 853 middle graphs take about 5 MiB
+    # as tuples, and 13 MiB with a frozenset per vertex beside them.  The
+    # growth of traced memory is measured, so tracing started by
+    # ``-X tracemalloc`` is left running.
+    graphs = read_graph6_file(order7_path)
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        middles = [middle_graph(G) for G in graphs]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(middles) == 853
+    assert grown < 9 * 2**20, f"{grown / 2**20:.1f} MiB"

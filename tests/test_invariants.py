@@ -177,6 +177,18 @@ def test_certification_cap_refuses_before_the_group_search(monkeypatch):
         distinguishing_number(path_graph(45))
 
 
+def test_certification_cap_refusal_does_not_depend_on_the_memo():
+    # A value certified under a larger cap is memoised; a default-cap call
+    # still refuses afterwards, as it did before that value was computed.
+    clear_invariant_cache()
+    P = path_graph(35)
+    with pytest.raises(ResourceCapError, match="exhaustive-certification cap 30"):
+        distinguishing_number(P)
+    assert distinguishing_number(P, max_positions=40).value == 2
+    with pytest.raises(ResourceCapError, match="exhaustive-certification cap 30"):
+        distinguishing_number(P)
+
+
 def test_witness_only_falls_back_when_budget_runs_out(monkeypatch):
     # A budget of one node runs out at every palette; the all-distinct
     # vector is then returned uncertified, and it must still distinguish.

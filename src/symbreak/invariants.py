@@ -11,14 +11,18 @@ All six share one shape: the least palette for a coloring of some positions
 (vertices, edges, or both) that is optionally proper and that only the
 identity preserves.  One table, ``_KINDS``, gives each kind its position
 count, whether an edge is required, its conflict pairs (the properness
-constraints), its certified lower bound, the action of Aut(G) on its
-positions (none for chi, the one kind that need not distinguish) and its
-witness builder, which also turns a leaf into the coloring that
-_kept_by_nonidentity checks.  One driver, ``_invariant``, reads top to
-bottom: it checks the input, refuses a count of positions past the
-certification cap, looks up the memo of certified values, builds the lower
-bound and the prune set, runs the palette loop and builds the witness.  The
-six public functions are one-line wrappers around it.
+constraints), its certified lower bound (the clique number of the conflict
+pairs, or chi for chiD), the action of Aut(G) on its positions (none for
+chi, the one kind that need not distinguish) and its witness builder, which
+also turns a leaf into the coloring that _kept_by_nonidentity checks.  A kind
+with a group action also has the counting bound: the least r with
+r ** positions >= |Aut(G)|, read from the stabilizer chain's order.  One
+driver, ``_invariant``, reads top to bottom: it checks the input, refuses a
+count of positions past the certification cap, looks up the memo of
+certified values, builds the prune set and the counting bound (refusing past
+the automorphism caps), then the table's lower bound, runs the palette loop
+from the larger bound and builds the witness.  The six public functions are
+one-line wrappers around it.
 
 One backtracking engine serves all six.  Color vectors are enumerated in
 position order with a first-fit palette restriction, and three cuts remove
@@ -91,7 +95,9 @@ _PRUNE_AFTER_NODES = 1_000
 @dataclass(frozen=True)
 class InvariantValue:
     """An exact invariant value, its witness coloring, and whether the value
-    was certified by exhausting every smaller palette."""
+    was certified: every smaller palette ruled out, by a proved lower bound
+    (clique number, chromatic number, or |Aut(G)| <= r ** positions) or by
+    exhausting its search."""
 
     kind: str
     value: int
@@ -509,10 +515,14 @@ def _invariant(
     kind: str, G: Graph, witness_only: bool, max_positions: Optional[int]
 ) -> InvariantValue:
     """The least palette with a valid vector, its witness, and whether the
-    palette is certified.  chi searches each palette first without a prune;
-    once that search has used _PRUNE_AFTER_NODES nodes, _late_vertex_prune
-    gives the prune elements and the palette starts over, so an easy search
-    never pays for a group."""
+    palette is certified.  A kind with a group action fetches its prune set
+    and the group order before its table lower bound, so the automorphism
+    caps refuse before chiD's chi search, and the loop starts at the larger
+    of that bound and the counting bound.  From any start at or below the
+    answer the loop returns the same palette and vector.  chi searches each
+    palette first without a prune; once that search has used
+    _PRUNE_AFTER_NODES nodes, _late_vertex_prune gives the prune elements and
+    the palette starts over, so an easy search never pays for a group."""
     spec = _KINDS[kind]
     cap = vertex_cap(max_positions, DEFAULT_CERTIFY_CAP)
     if not is_connected(G):
@@ -533,15 +543,22 @@ def _invariant(
     later: list[list[int]] = [[] for _ in range(npos)]
     for a, b in pairs:  # sorted, a < b, as G.edges and incident_edge_pairs are
         later[a].append(b)
-    lower = spec.lower(G, npos, pairs, witness_only, cap)
+    start = 1
     if spec.group is None:  # chi: a prune group only once the search is hard
         perms, nontrivial = None, None
     else:
         elements = _prune_set(G)
         perms = spec.group(G, elements)
+        order = _chain(G).order
         # The search reaches no leaf these elements keep.  Unless they are all
         # the group but the identity, the coloured search decides its leaves.
-        nontrivial = None if len(elements) == _chain(G).order - 1 else spec.decider(G)
+        nontrivial = None if len(elements) == order - 1 else spec.decider(G)
+        # The counting bound: the group acts faithfully on the positions, so
+        # the orbit of a valid vector holds |Aut(G)| distinct valid vectors,
+        # all among the r ** npos.  It is at most npos, as order <= npos!.
+        while start**npos < order:
+            start += 1
+    lower = max(start, spec.lower(G, npos, pairs, witness_only, cap))
     budget = _WITNESS_ONLY_NODE_BUDGET if witness_only else None
     first = _PRUNE_AFTER_NODES if budget is None else min(budget, _PRUNE_AFTER_NODES)
     certified = not witness_only
@@ -549,7 +566,7 @@ def _invariant(
     def search(r: int, prune: Sequence[Permutation], nodes: Optional[int]):
         return _search_palette(npos, later, prune, r, nodes, nontrivial, spec.group is not None)
 
-    for r in range(max(1, lower), npos + 1):
+    for r in range(lower, npos + 1):
         try:
             if perms is None:  # chi, until its late prune
                 try:

@@ -189,6 +189,59 @@ def test_certification_cap_refusal_does_not_depend_on_the_memo():
         distinguishing_number(P)
 
 
+def test_vertex_cap_refuses_chiD_before_its_chi_bound(monkeypatch):
+    # Witness-only mode skips the certification cap, but P45 is past the
+    # 40-vertex automorphism cap.  chiD fetches its group before its lower
+    # bound, so it is refused before chi's whole search runs.
+    clear_invariant_cache()
+    monkeypatch.setattr(invariants, "chromatic_number", _must_not_run)
+    with pytest.raises(ResourceCapError, match="automorphism search refused"):
+        distinguishing_chromatic_number(path_graph(45), witness_only=True)
+
+
+def test_searches_start_at_the_counting_bound(corpus, monkeypatch):
+    # A kind with a group starts at the least r with r ** positions >=
+    # |Aut(G)|: no palette below it has a valid vector.  chi has no such
+    # bound, and an asymmetric graph still starts at 1.
+    searched = []
+    real = invariants._search_palette
+
+    def recorded(npos, later, perms, r, *rest):
+        searched.append(r)
+        return real(npos, later, perms, r, *rest)
+
+    monkeypatch.setattr(invariants, "_search_palette", recorded)
+    asymmetric = next(H for H in corpus[6] if automorphism_group(H).order == 1)
+    cases = [
+        (distinguishing_number, cycle_graph(4), 3, [2, 3]),
+        (distinguishing_number, complete_graph(4), 4, [3, 4]),
+        (distinguishing_index, cycle_graph(5), 3, [2, 3]),
+        (total_distinguishing_number, star_graph(3), 2, [2]),
+        (distinguishing_chromatic_number, star_graph(5), 6, [2, 3, 4, 5, 6]),  # chi's [2] first
+        (distinguishing_number, asymmetric, 1, [1]),
+    ]
+    for fn, G, value, palettes in cases:
+        clear_invariant_cache()
+        searched.clear()
+        iv = fn(G)
+        assert (iv.value, iv.certified, searched) == (value, True, palettes), fn.__name__
+
+
+def test_values_satisfy_the_counting_bound(corpus):
+    # A valid vector's orbit holds |Aut| distinct valid vectors among the
+    # value ** positions, so a value below the bound would be wrong.
+    for n in corpus:
+        for G in corpus[n]:
+            cases = [("D", G), ("chiD", G)]
+            if G.num_edges:
+                cases += [("Dpp", G), ("D", subdivision_graph(G))]
+            if G.n > 2:  # K2's edge is fixed by its swap
+                cases += [("Dp", G), ("chiDp", G)]
+            for kind, H in cases:
+                v = INVARIANT_FUNCTIONS[kind](H).value
+                assert v ** _KINDS[kind].positions(H) >= automorphism_group(H).order, (kind, H)
+
+
 def test_witness_only_falls_back_when_budget_runs_out(monkeypatch):
     # A budget of one node runs out at every palette; the all-distinct
     # vector is then returned uncertified, and it must still distinguish.
